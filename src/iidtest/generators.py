@@ -12,6 +12,7 @@ what the tests are supposed to catch.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,11 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "d", "decks", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.kind not in _KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.corruption not in _CORRUPTIONS:
@@ -162,17 +168,51 @@ def sample_items(spec: GeneratorSpec, rng: np.random.Generator | None = None) ->
     return np.concatenate([_draw_iid(theta, spec.n - 2 * d, rng), np.repeat(ladder, 2)])
 
 
-def _profile_from_labels(labels: np.ndarray, keep_first_order: bool) -> CountProfile:
-    if labels.size == 0:
+def _count_iid(theta: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    # Per-category counts of the labels _draw_iid would return from the
+    # same uniforms: label j+1 owns [cum[j-1], cum[j]), so counting the
+    # sorted uniforms below each edge replaces one binary search per
+    # item with one per category, and leaves the generator in the same
+    # state.
+    cum = np.cumsum(theta)
+    cum[-1] = 1.0
+    u = rng.random(size)
+    u.sort()
+    return np.diff(np.searchsorted(u, cum, side="left"), prepend=0)
+
+
+def _sample_counts(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
+    """Counts of labels 1..d (1..2d for even_m) of an iid-kind spec,
+    equal to the bincount of sample_items with the same generator."""
+    d = spec.d
+    theta = make_theta(spec.kind, d)
+    if spec.corruption == "none":
+        return _count_iid(theta, spec.n, rng)
+    if spec.corruption == "even_n":
+        return 2 * _count_iid(theta, spec.n // 2, rng)
+    if spec.corruption == "even_m":
+        half = _count_iid(theta, spec.n // 2, rng)
+        return np.concatenate([half, half])
+    if spec.corruption == "no_empty":
+        return _count_iid(theta, spec.n - d, rng) + 1
+    return _count_iid(theta, spec.n - 2 * d, rng) + 2
+
+
+def _profile_from_counts(n: int, counts: np.ndarray, keep_first_order: bool) -> CountProfile:
+    # counts[i] is the count of label i + 1
+    if n == 0:
         return CountProfile(0, {}, {} if keep_first_order else None)
-    counts = np.bincount(labels)
     observed = np.flatnonzero(counts)
     mult = np.bincount(counts[observed])
     multiplicities = {int(k): int(mult[k]) for k in np.flatnonzero(mult)}
     first_order = None
     if keep_first_order:
-        first_order = {int(x): int(counts[x]) for x in observed}
-    return CountProfile(int(labels.size), multiplicities, first_order)
+        first_order = {int(x) + 1: int(counts[x]) for x in observed}
+    return CountProfile(n, multiplicities, first_order)
+
+
+def _profile_from_labels(labels: np.ndarray, keep_first_order: bool) -> CountProfile:
+    return _profile_from_counts(int(labels.size), np.bincount(labels)[1:], keep_first_order)
 
 
 def sample(
@@ -180,8 +220,17 @@ def sample(
     rng: np.random.Generator | None = None,
     keep_first_order: bool = True,
 ) -> CountProfile:
-    """Draw one profile from the spec, deterministically in its seed."""
-    return _profile_from_labels(sample_items(spec, rng), keep_first_order)
+    """Draw one profile from the spec, deterministically in its seed.
+
+    The profile, and the generator state afterwards, equal those of
+    ``sample_items`` with the same generator; iid kinds are counted
+    per category without labelling each item.
+    """
+    if spec.kind == "cards":
+        return _profile_from_labels(sample_items(spec, rng), keep_first_order)
+    if rng is None:
+        rng = _rng(spec.seed)
+    return _profile_from_counts(spec.n, _sample_counts(spec, rng), keep_first_order)
 
 
 def expected_mk(theta: np.ndarray, n: int, k_max: int) -> np.ndarray:

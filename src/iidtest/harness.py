@@ -297,6 +297,24 @@ _CONFIG_KEYS = {
 _OPTION_KEYS = {"mode", "cn", "variance", "pvalue"}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# top-level config field -> (accepts the JSON value, what it must be)
+_CONFIG_FIELDS = {
+    "reps": (_is_int, "an integer"),
+    "alpha_grid": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    "alpha_star": (_is_number, "a number"),
+    "seed": (_is_int, "an integer"),
+    "assert_validity": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 def _options_from(doc: dict, base: TestOptions) -> TestOptions:
     extra = set(doc) - _OPTION_KEYS
     if extra:
@@ -365,8 +383,10 @@ def config_from_json(text: str) -> ExperimentConfig:
         else:
             raise ValueError(f"bad test entry {entry!r}")
     kwargs = {}
-    for name in ("reps", "alpha_grid", "alpha_star", "seed", "assert_validity"):
+    for name, (accepts, what) in _CONFIG_FIELDS.items():
         if name in doc:
+            if not accepts(doc[name]):
+                raise ValueError(f"'{name}' must be {what}, got {doc[name]!r}")
             kwargs[name] = tuple(doc[name]) if name == "alpha_grid" else doc[name]
     return ExperimentConfig(generator=spec, tests=tuple(tests), **kwargs)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .counts import CountProfile
-from .generators import GeneratorSpec, expected_mk, sample
+from .generators import GeneratorSpec, expected_mk, sample, sample_items
 from .invariants import Mode, TestKind, bound_mean, statistic
 from .numerics import (
     log_binomial_pmf,
@@ -302,7 +303,26 @@ def _check_sampler_determinism() -> tuple[bool, str]:
     c = sample(GeneratorSpec(kind="linear", n=500, d=40, corruption="no_empty", seed=906))
     if a == c:
         return False, "distinct seeds collided"
-    return True, "profiles are a pure function of the spec"
+    # sample counts per category; the labelled items drawn from the
+    # same generator must give the same counts and leave it in the same state
+    cases = 0
+    for kind, corruption, (n, d) in itertools.product(
+        ("uniform", "linear"),
+        ("none", "even_n", "even_m", "no_empty", "no_unique"),
+        ((600, 1), (600, 250), (100_000, 33_333)),
+    ):
+        spec = GeneratorSpec(kind=kind, n=n, d=d, corruption=corruption)
+        for key in (907, 2**64 - 1):
+            fast_rng = np.random.Generator(np.random.Philox(key=key))
+            slow_rng = np.random.Generator(np.random.Philox(key=key))
+            profile = sample(spec, rng=fast_rng)
+            counts = Counter(sample_items(spec, rng=slow_rng).tolist())
+            if profile.first_order != counts or profile.multiplicities != Counter(counts.values()):
+                return False, f"sample differs from its items for {spec} at key {key}"
+            if fast_rng.random() != slow_rng.random():
+                return False, f"sample left a different generator state for {spec} at key {key}"
+            cases += 1
+    return True, f"profiles are a pure function of the spec and match their items ({cases} cases)"
 
 
 SUITES: dict[str, Callable[[], tuple[bool, str]]] = {

@@ -256,6 +256,32 @@ def test_power_malformed_config_exits_one(tmp_path):
     assert "iidtest power:" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "where, field, value",
+    [
+        ("config", "reps", "x"),
+        ("generator", "n", "10"),
+        ("generator", "n", 10.5),
+        ("generator", "d", True),
+        ("config", "seed", 1.5),
+        ("generator", "seed", 1.5),
+        ("config", "alpha_grid", 5),
+        ("config", "alpha_star", "0.05"),
+        ("config", "assert_validity", "yes"),
+    ],
+)
+def test_power_mistyped_field_exits_one_without_traceback(tmp_path, where, field, value):
+    doc = _power_config(5)
+    (doc["generator"] if where == "generator" else doc)[field] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    proc = run_cli("power", "--config", str(cfg), "--output", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("iidtest power:") and proc.stderr.count("\n") == 1
+    assert field in proc.stderr
+
+
 def test_verify_single_suite():
     proc = run_cli("verify", "--suite", "stirling")
     assert proc.returncode == 0

@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iidtest.counts import validate_profile
 from iidtest.generators import (
     GeneratorSpec,
+    _count_iid,
+    _draw_iid,
+    _profile_from_labels,
     expected_mk,
     make_theta,
     reference_theta,
@@ -121,6 +126,91 @@ def test_sample_keeps_or_drops_first_order():
     spec = GeneratorSpec("uniform", n=12, d=4, seed=1)
     assert sample(spec).first_order is not None
     assert sample(spec, keep_first_order=False).first_order is None
+
+
+def _assert_sample_matches_labels(spec, key, keep_first_order):
+    # sample counts per category; sample_items labels every item from
+    # the same uniforms, so the profiles and the next draw must agree
+    fast_rng = np.random.Generator(np.random.Philox(key=key))
+    slow_rng = np.random.Generator(np.random.Philox(key=key))
+    fast = sample(spec, rng=fast_rng, keep_first_order=keep_first_order)
+    slow = _profile_from_labels(sample_items(spec, rng=slow_rng), keep_first_order)
+    assert fast.n == slow.n == spec.n
+    assert fast.multiplicities == slow.multiplicities
+    assert fast.first_order == slow.first_order
+    assert fast_rng.random() == slow_rng.random()
+
+
+_CORRUPTION_NAMES = ["none", "even_n", "even_m", "no_empty", "no_unique"]
+
+
+@st.composite
+def _iid_specs(draw):
+    kind = draw(st.sampled_from(["uniform", "linear"]))
+    corruption = draw(st.sampled_from(_CORRUPTION_NAMES))
+    d = draw(st.integers(1, 60))
+    floor = {"no_empty": d, "no_unique": 2 * d}.get(corruption, 0)
+    n = floor + draw(st.integers(0, 300))
+    if corruption in ("even_n", "even_m"):
+        n -= n % 2
+    return GeneratorSpec(kind, n=n, d=d, corruption=corruption)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_iid_specs(), st.integers(0, 2**64 - 1), st.booleans())
+def test_sample_equals_profile_of_sample_items(spec, key, keep_first_order):
+    _assert_sample_matches_labels(spec, key, keep_first_order)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "linear"])
+@pytest.mark.parametrize("corruption", _CORRUPTION_NAMES)
+def test_sample_equals_profile_of_sample_items_at_scale(kind, corruption):
+    spec = GeneratorSpec(kind, n=100_000, d=33_333, corruption=corruption)
+    for key in (0, 301, 2**63 + 5):
+        _assert_sample_matches_labels(spec, key, keep_first_order=key == 0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GeneratorSpec("uniform", n=0, d=5),
+        GeneratorSpec("linear", n=0, d=3, corruption="even_m"),
+        GeneratorSpec("uniform", n=3, d=50),
+        GeneratorSpec("linear", n=7, d=1),
+        GeneratorSpec("uniform", n=2, d=1, corruption="no_unique"),
+        GeneratorSpec("uniform", n=5, d=5, corruption="no_empty"),
+        GeneratorSpec("cards", n=30, decks=2),
+    ],
+)
+@pytest.mark.parametrize("keep_first_order", [True, False])
+def test_sample_equals_profile_of_sample_items_edge_cases(spec, keep_first_order):
+    _assert_sample_matches_labels(spec, 17, keep_first_order)
+
+
+class _FixedUniforms:
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values.copy()
+
+
+def test_count_iid_puts_edge_uniforms_where_labels_do():
+    # label j+1 owns [cum[j-1], cum[j]): a uniform on an edge goes up
+    theta = np.array([0.25, 0.25, 0.5])
+    u = [0.0, 0.25, 0.5, np.nextafter(0.5, 0.0), 0.75, 0.25, np.nextafter(1.0, 0.0)]
+    labels = _draw_iid(theta, len(u), _FixedUniforms(u))
+    counts = _count_iid(theta, len(u), _FixedUniforms(u))
+    assert counts.tolist() == np.bincount(labels, minlength=4)[1:].tolist() == [1, 3, 3]
+
+
+def test_sample_first_order_of_even_m_spans_fresh_labels():
+    spec = GeneratorSpec("uniform", n=40, d=10, corruption="even_m", seed=4)
+    counts = sample(spec).first_order
+    labels = sample_items(spec)
+    assert counts == {int(x): int(c) for x, c in zip(*np.unique(labels, return_counts=True))}
+    assert max(counts) > 10
 
 
 def test_expected_mk_closed_cases():
