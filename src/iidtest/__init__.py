@@ -13,7 +13,6 @@ from .counts import (
     profile_from_counts,
     profile_from_json,
     profile_to_json,
-    validate_profile,
 )
 from .generators import (
     GeneratorSpec,
@@ -35,7 +34,9 @@ from .harness import (
 )
 from .invariants import (
     DEFAULT_SUITE,
+    FAMILIES,
     CombinedResult,
+    Family,
     Mode,
     PValueMethod,
     TestKind,
@@ -51,6 +52,7 @@ from .invariants import (
     parse_kind,
     run_test,
     statistic,
+    theoretical_variance,
 )
 from .numerics import (
     log_binomial_pmf,
@@ -72,7 +74,6 @@ __all__ = [
     "profile_from_counts",
     "profile_from_json",
     "profile_to_json",
-    "validate_profile",
     "GeneratorSpec",
     "expected_mk",
     "make_theta",
@@ -88,7 +89,9 @@ __all__ = [
     "rejection_curve",
     "run_experiment",
     "DEFAULT_SUITE",
+    "FAMILIES",
     "CombinedResult",
+    "Family",
     "Mode",
     "PValueMethod",
     "TestKind",
@@ -104,6 +107,7 @@ __all__ = [
     "parse_kind",
     "run_test",
     "statistic",
+    "theoretical_variance",
     "log_binomial_pmf",
     "log_cn",
     "log_normal_sf",

@@ -17,14 +17,15 @@ from .counts import ingest_items, profile_from_json, profile_to_json
 from .generators import GeneratorSpec, sample, sample_items
 from .harness import config_from_json, config_to_json, emit_report, run_experiment
 from .invariants import (
+    FAMILIES,
     Mode,
-    TestKind,
     TestOptions,
     VarianceSource,
     bound_mean,
     combine_bonferroni,
     parse_kind,
     run_test,
+    theoretical_variance,
 )
 from .verify import SUITES, run_checks
 
@@ -78,6 +79,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_test(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {args.alpha}")
     profile = profile_from_json(_read_text(args.input))
     opts = _options_from_args(args)
     kinds = [parse_kind(tok) for tok in args.tests.split(",") if tok.strip()]
@@ -155,27 +158,8 @@ def _cmd_power(args) -> int:
     return 0
 
 
-def _theoretical_variance(kind: TestKind, n: int, mode: Mode) -> str:
-    weights = {"count": {0: 1}, "slope": {0: 1, -1: 1}, "slopelower": {0: 1, -1: 1},
-               "curv": {0: 4, -1: 1, 1: 1}}.get(kind.family)
-    if weights is None:
-        return ""
-    try:
-        v = sum(
-            w * bound_mean(TestKind("count", kind.k + off), n, mode)
-            for off, w in weights.items()
-        )
-    except ValueError:
-        return ""
-    return repr(v)
-
-
 def _cmd_bounds(args) -> int:
-    families = (
-        args.kind.split(",")
-        if args.kind
-        else ["count", "slope", "slopelower", "curv", "logcurv", "even", "odd"]
-    )
+    families = args.kind.split(",") if args.kind else list(FAMILIES)
     ks = [int(tok) for tok in args.k.split(",")] if args.k else [2]
     mode = Mode(args.mode)
     lines = ["kind,k,n,mode,tau_ub,v_ub_theoretical"]
@@ -183,7 +167,11 @@ def _cmd_bounds(args) -> int:
         for k in ks:
             kind = parse_kind(name if name in ("even", "odd") else f"{name}:{k}")
             tau = bound_mean(kind, args.n, mode)
-            v = _theoretical_variance(kind, args.n, mode)
+            try:
+                v = repr(theoretical_variance(kind, args.n, mode))
+            except ValueError:
+                # no weights, or a count bound beyond reach (multinomial k+1 >= n)
+                v = ""
             k_out = "" if kind.k is None else kind.k
             lines.append(f"{kind.family},{k_out},{args.n},{mode.value},{tau!r},{v}")
             if kind.k is None:

@@ -20,10 +20,13 @@ __all__ = [
     "CountProfile",
     "ingest_items",
     "profile_from_counts",
-    "validate_profile",
     "profile_to_json",
     "profile_from_json",
 ]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,12 @@ class CountProfile:
     first_order : dict[int, int] | None
         Optional map label -> count for callers that kept labels.
         Carries no information the tests use beyond ``multiplicities``.
+
+    Construction checks the invariants and raises ValueError on the
+    first violation: integral n >= 0, integral k >= 1 and m_k >= 1
+    entries, the identity sum k*m_k = n, and (when first_order is
+    present) integral counts >= 1 that reproduce n and the
+    multiplicities exactly.
     """
 
     n: int
@@ -46,10 +55,31 @@ class CountProfile:
     first_order: Mapping[int, int] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        ordered = dict(sorted(dict(self.multiplicities).items()))
-        object.__setattr__(self, "multiplicities", ordered)
+        if not _is_int(self.n) or self.n < 0:
+            raise ValueError(f"n must be an integer >= 0, got {self.n!r}")
+        if not isinstance(self.multiplicities, Mapping):
+            raise ValueError("multiplicities must map k to m_k")
+        for k, m in self.multiplicities.items():
+            if not _is_int(k) or k < 1:
+                raise ValueError(f"multiplicity key must be an integer >= 1, got {k!r}")
+            if not _is_int(m) or m < 1:
+                raise ValueError(f"m_{k} must be an integer >= 1, got {m!r}")
+        total = sum(k * m for k, m in self.multiplicities.items())
+        if total != self.n:
+            raise ValueError(f"sum k*m_k = {total} does not match n = {self.n}")
         if self.first_order is not None:
+            if not isinstance(self.first_order, Mapping):
+                raise ValueError("first_order must map labels to counts")
+            for label, count in self.first_order.items():
+                if not _is_int(count) or count < 1:
+                    raise ValueError(f"count for label {label!r} must be an integer >= 1")
+            if sum(self.first_order.values()) != self.n:
+                raise ValueError("first_order counts do not sum to n")
+            if dict(Counter(self.first_order.values())) != dict(self.multiplicities):
+                raise ValueError("first_order inconsistent with multiplicities")
             object.__setattr__(self, "first_order", dict(self.first_order))
+        ordered = dict(sorted(self.multiplicities.items()))
+        object.__setattr__(self, "multiplicities", ordered)
 
     @property
     def m_plus(self) -> int:
@@ -59,46 +89,6 @@ class CountProfile:
     def m(self, k: int) -> int:
         """m_k, zero when absent."""
         return self.multiplicities.get(k, 0)
-
-
-def validate_profile(profile: CountProfile) -> str | None:
-    """Check a profile's structural invariants.
-
-    Returns the first violation as a human-readable string, or None if
-    the profile is consistent. Checked: integral non-negative n,
-    integral k >= 1 and m_k >= 1 entries, the identity sum k*m_k = n,
-    and (when first_order is present) that its counts reproduce n and
-    the multiplicities exactly.
-    """
-    if not isinstance(profile.n, int) or isinstance(profile.n, bool):
-        return f"n must be an integer, got {profile.n!r}"
-    if profile.n < 0:
-        return f"n must be >= 0, got {profile.n}"
-    for k, m in profile.multiplicities.items():
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            return f"multiplicity key must be an integer >= 1, got {k!r}"
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            return f"m_{k} must be an integer >= 1, got {m!r}"
-    total = sum(k * m for k, m in profile.multiplicities.items())
-    if total != profile.n:
-        return f"sum k*m_k = {total} does not match n = {profile.n}"
-    if profile.first_order is not None:
-        for label, count in profile.first_order.items():
-            if not isinstance(count, int) or count < 1:
-                return f"count for label {label!r} must be an integer >= 1"
-        if sum(profile.first_order.values()) != profile.n:
-            return "first_order counts do not sum to n"
-        derived = Counter(profile.first_order.values())
-        if dict(derived) != dict(profile.multiplicities):
-            return "first_order inconsistent with multiplicities"
-    return None
-
-
-def _checked(profile: CountProfile) -> CountProfile:
-    violation = validate_profile(profile)
-    if violation is not None:
-        raise ValueError(violation)
-    return profile
 
 
 def ingest_items(items: Iterable[bytes | str], hashed: bool = False) -> CountProfile:
@@ -130,7 +120,7 @@ def ingest_items(items: Iterable[bytes | str], hashed: bool = False) -> CountPro
         counts[label] += 1
         n += 1
     multiplicities = Counter(counts.values())
-    return _checked(CountProfile(n, dict(multiplicities), dict(counts)))
+    return CountProfile(n, dict(multiplicities), dict(counts))
 
 
 def profile_from_counts(counts: Iterable[int]) -> CountProfile:
@@ -142,10 +132,10 @@ def profile_from_counts(counts: Iterable[int]) -> CountProfile:
     """
     counts = list(counts)
     for c in counts:
-        if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+        if not _is_int(c) or c < 1:
             raise ValueError(f"counts must be integers >= 1, got {c!r}")
     first_order = {x + 1: c for x, c in enumerate(counts)}
-    return _checked(CountProfile(sum(counts), dict(Counter(counts)), first_order))
+    return CountProfile(sum(counts), dict(Counter(counts)), first_order)
 
 
 def profile_to_json(profile: CountProfile, include_counts: bool = False) -> str:
@@ -192,7 +182,7 @@ def profile_from_json(text: str) -> CountProfile:
         if not isinstance(doc["counts"], list):
             raise ValueError("'counts' must be a list of integers")
         for c in doc["counts"]:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+            if not _is_int(c) or c < 1:
                 raise ValueError(f"counts must be integers >= 1, got {c!r}")
         first_order = {x + 1: c for x, c in enumerate(doc["counts"])}
-    return _checked(CountProfile(doc["n"], multiplicities, first_order))
+    return CountProfile(doc["n"], multiplicities, first_order)

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .counts import _is_int
 from .generators import GeneratorSpec, reference_theta, expected_mk, sample
 from .invariants import (
     Mode,
@@ -297,10 +298,6 @@ _CONFIG_KEYS = {
 _OPTION_KEYS = {"mode", "cn", "variance", "pvalue"}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -321,7 +318,7 @@ def _options_from(doc: dict, base: TestOptions) -> TestOptions:
         raise ValueError(f"unknown option fields: {sorted(extra)}")
     return TestOptions(
         mode=Mode(doc.get("mode", base.mode)),
-        cn_correction=bool(doc.get("cn", base.cn_correction)),
+        cn_correction=doc.get("cn", base.cn_correction),
         variance_source=VarianceSource(doc.get("variance", base.variance_source)),
         pvalue_method=PValueMethod(doc.get("pvalue", base.pvalue_method)),
     )

@@ -23,11 +23,11 @@ derives n-specific bounds with no correction needed; it requires
 k < n. The two agree to a few percent once n >> k.
 
 Variance bounds are empirical (plug in the observed m) except for the
-count family, whose default is the theoretical bound; even/odd admit
-no theoretical bound at all. The even/odd mean bounds carry an
-unquantified third-moment accuracy term, so their p-values are
-approximate in the extreme sparse regime; the count/slope/curvature
-families do not share this caveat.
+count family, whose default is the theoretical bound; only the linear
+families of ``FAMILIES`` have a theoretical bound. The even/odd mean
+bounds carry an unquantified third-moment accuracy term, so their
+p-values are approximate in the extreme sparse regime; the
+count/slope/curvature families do not share this caveat.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Iterable
 
 from scipy.special import gammaln
 
-from .counts import CountProfile, validate_profile
+from .counts import CountProfile, _is_int
 from .numerics import log_binomial_pmf, log_cn, log_normal_sf
 
 __all__ = [
@@ -50,11 +50,14 @@ __all__ = [
     "TestOptions",
     "TestResult",
     "CombinedResult",
+    "Family",
+    "FAMILIES",
     "DEFAULT_SUITE",
     "parse_kind",
     "statistic",
     "bound_mean",
     "bound_variance",
+    "theoretical_variance",
     "p_value_gaussian",
     "p_value_bernstein",
     "run_test",
@@ -79,19 +82,37 @@ class PValueMethod(str, Enum):
     BERNSTEIN = "bernstein"
 
 
-# family -> minimal k (None marks the k-free aggregate tests)
-_MIN_K = {
-    "even": None,
-    "odd": None,
-    "count": 1,
-    "slope": 2,
-    "slopelower": 2,
-    "curv": 2,
-    "logcurv": 2,
-}
+@dataclass(frozen=True)
+class Family:
+    """The rules of one test family.
 
-# per-item range of the statistic, used by the Bernstein tail
-_BERNSTEIN_B = {"count": 1.0, "slope": 1.0, "slopelower": 1.0, "curv": 2.0}
+    ``min_k`` is the smallest admissible k (None for the k-free even
+    and odd). A linear family also carries ``weights``, a map from the
+    offset j - k to the weight of m_j in T = sum w m_j. The statistic,
+    the empirical (sum w^2 m_j) and theoretical (sum w^2 mu_j) variance
+    bounds, the Bernstein range max |w| and ``min_k`` all follow from
+    it; a family without weights has no theoretical variance. Sums run
+    in the weights' order.
+    """
+
+    min_k: int | None
+    weights: dict[int, int] | None = None
+
+    @classmethod
+    def linear(cls, weights: dict[int, int]) -> Family:
+        return cls(1 - min(weights), weights)
+
+
+# the order is the one `iidtest bounds` prints by default
+FAMILIES: dict[str, Family] = {
+    "count": Family.linear({0: 1}),
+    "slope": Family.linear({0: 1, -1: -1}),
+    "slopelower": Family.linear({-1: 1, 0: -1}),
+    "curv": Family.linear({0: 2, -1: -1, 1: -1}),
+    "logcurv": Family(min_k=2),
+    "even": Family(min_k=None),
+    "odd": Family(min_k=None),
+}
 
 _TINY_P = math.ulp(0.0)
 
@@ -109,16 +130,16 @@ class TestKind:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _MIN_K:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown test family {self.family!r}")
-        min_k = _MIN_K[self.family]
+        min_k = FAMILIES[self.family].min_k
         if min_k is None:
             if self.k is not None:
                 raise ValueError(f"{self.family} takes no k")
         else:
             if self.k is None:
                 raise ValueError(f"{self.family} needs k >= {min_k}")
-            if not isinstance(self.k, int) or self.k < min_k:
+            if not _is_int(self.k) or self.k < min_k:
                 raise ValueError(f"{self.family} needs integer k >= {min_k}, got {self.k!r}")
 
     def __str__(self) -> str:
@@ -164,6 +185,9 @@ class TestOptions:
     pvalue_method: PValueMethod = PValueMethod.GAUSSIAN
 
     def __post_init__(self) -> None:
+        # a truthy string such as "off" must not switch the charge on
+        if not isinstance(self.cn_correction, bool):
+            raise ValueError(f"cn_correction must be True or False, got {self.cn_correction!r}")
         object.__setattr__(self, "mode", Mode(self.mode))
         object.__setattr__(self, "variance_source", VarianceSource(self.variance_source))
         object.__setattr__(self, "pvalue_method", PValueMethod(self.pvalue_method))
@@ -226,14 +250,13 @@ class CombinedResult:
     reject: bool | None = None
 
 
-def _included_k(parity: int, m: dict, n: int, mode: Mode) -> list[int]:
+def _included_k(odd: bool, m: dict, n: int, mode: Mode) -> list[int]:
     # even counts all even k >= 2; odd skips k=1 because every fresh item
     # contributes there; multinomial mode also drops k=n (the all-equal
     # count is pinned by the sample size, not by repetition structure)
-    skip = 1 if parity else 0
     out = []
     for k in m:
-        if k % 2 != parity or k == skip:
+        if k % 2 != odd or k == 1:
             continue
         if mode is Mode.MULTINOMIAL and k == n:
             continue
@@ -252,18 +275,11 @@ def statistic(kind: TestKind, profile: CountProfile, mode: Mode = Mode.POISSON) 
     m = profile.multiplicities
     k = kind.k
     fam = kind.family
-    if fam == "even":
-        return float(sum(j * m[j] for j in _included_k(0, m, profile.n, mode)))
-    if fam == "odd":
-        return float(sum(j * m[j] for j in _included_k(1, m, profile.n, mode)))
-    if fam == "count":
-        return float(m.get(k, 0))
-    if fam == "slope":
-        return float(m.get(k, 0) - m.get(k - 1, 0))
-    if fam == "slopelower":
-        return float(m.get(k - 1, 0) - m.get(k, 0))
-    if fam == "curv":
-        return float(2 * m.get(k, 0) - m.get(k - 1, 0) - m.get(k + 1, 0))
+    weights = FAMILIES[fam].weights
+    if weights is not None:
+        return float(sum(w * m.get(k + off, 0) for off, w in weights.items()))
+    if k is None:
+        return float(sum(j * m[j] for j in _included_k(fam == "odd", m, profile.n, mode)))
     # logcurv
     mk = (m.get(k - 1, 0), m.get(k, 0), m.get(k + 1, 0))
     if min(mk) == 0:
@@ -344,62 +360,58 @@ def bound_mean(kind: TestKind, n: int, mode: Mode = Mode.POISSON) -> float:
     return math.log1p(1.0 / k) + math.log1p(1.0 / (n - k))
 
 
+def _linear_weights(kind: TestKind) -> dict[int, int]:
+    weights = FAMILIES[kind.family].weights
+    if weights is None:
+        raise ValueError(f"{kind.family} has no theoretical variance bound; use empirical")
+    return weights
+
+
 def _resolve_variance(kind: TestKind, opts: TestOptions) -> VarianceSource:
     src = opts.variance_source
-    if kind.family == "logcurv":
-        # the delta-method variance is built from observed m by nature
-        return VarianceSource.EMPIRICAL
     if src is VarianceSource.AUTO:
-        src = (
-            VarianceSource.THEORETICAL
-            if kind.family == "count"
-            else VarianceSource.EMPIRICAL
-        )
-    if src is VarianceSource.THEORETICAL and kind.family in ("even", "odd"):
-        raise ValueError(
-            f"{kind.family} has no theoretical variance bound; use empirical"
-        )
+        return VarianceSource.THEORETICAL if kind.family == "count" else VarianceSource.EMPIRICAL
+    if src is VarianceSource.THEORETICAL:
+        _linear_weights(kind)  # raises for a family without weights
     return src
+
+
+def theoretical_variance(kind: TestKind, n: int, mode: Mode = Mode.POISSON) -> float:
+    """Deterministic variance bound sum w^2 mu_{k+off} of a linear family.
+
+    mu_j is the count:j mean bound, so the value depends on n alone.
+    Raises ValueError for even, odd and logcurv, which have no weights,
+    and wherever a count bound it needs does (multinomial k+1 >= n).
+    """
+    return sum(
+        w * w * bound_mean(TestKind("count", kind.k + off), n, mode)
+        for off, w in _linear_weights(kind).items()
+    )
 
 
 def bound_variance(kind: TestKind, profile: CountProfile, opts: TestOptions | None = None) -> float:
     """Upper bound V_ub on the variance of T.
 
     Empirical bounds plug the observed multiplicities into the
-    independent-counts variance formula; theoretical bounds substitute
-    the count mean bounds instead and exist for the count, slope and
-    curvature families only. For logcurv the returned value is
-    n^2 (1/m_{k-1} + 4/m_k + 1/m_{k+1}), the delta-method variance
-    expressed on the common count scale.
+    independent-counts variance formula, sum w^2 m_{k+off} for a linear
+    family; theoretical bounds substitute the count mean bounds instead
+    (see theoretical_variance) and exist for the linear families only.
+    For logcurv the returned value is n^2 (1/m_{k-1} + 4/m_k + 1/m_{k+1}),
+    the delta-method variance expressed on the common count scale.
     """
     opts = opts or TestOptions()
     src = _resolve_variance(kind, opts)
     m = profile.m
     n = profile.n
-    fam, k = kind.family, kind.k
-
+    k = kind.k
     if src is VarianceSource.THEORETICAL:
-        def mu(j: int) -> float:
-            return bound_mean(TestKind("count", j), n, opts.mode)
-
-        if fam == "count":
-            return mu(k)
-        if fam in ("slope", "slopelower"):
-            return mu(k) + mu(k - 1)
-        if fam == "curv":
-            return 4.0 * mu(k) + mu(k - 1) + mu(k + 1)
-        raise AssertionError(fam)
-
-    if fam in ("even", "odd"):
-        parity = 0 if fam == "even" else 1
-        ks = _included_k(parity, profile.multiplicities, n, Mode(opts.mode))
+        return theoretical_variance(kind, n, opts.mode)
+    weights = FAMILIES[kind.family].weights
+    if weights is not None:
+        return float(sum(w * w * m(k + off) for off, w in weights.items()))
+    if k is None:
+        ks = _included_k(kind.family == "odd", profile.multiplicities, n, opts.mode)
         return float(sum(j * j * profile.multiplicities[j] for j in ks))
-    if fam == "count":
-        return float(m(k))
-    if fam in ("slope", "slopelower"):
-        return float(m(k) + m(k - 1))
-    if fam == "curv":
-        return float(4 * m(k) + m(k - 1) + m(k + 1))
     triple = (m(k - 1), m(k), m(k + 1))
     if min(triple) == 0:
         raise ValueError(
@@ -478,11 +490,10 @@ def _describe(opts: TestOptions, src: VarianceSource) -> str:
     return ", ".join(bits)
 
 
-def _run_logcurv(kind: TestKind, profile: CountProfile, opts: TestOptions) -> TestResult:
+def _run_logcurv(kind: TestKind, profile: CountProfile, opts: TestOptions, notes: str) -> TestResult:
     k = kind.k
     n = profile.n
     tau = bound_mean(kind, n, opts.mode)
-    notes = _describe(opts, VarianceSource.EMPIRICAL)
     center = profile.m(k)
     left, right = profile.m(k - 1), profile.m(k + 1)
     if center == 0:
@@ -504,17 +515,10 @@ def _run_logcurv(kind: TestKind, profile: CountProfile, opts: TestOptions) -> Te
         which = k - 1 if left == 0 else k + 1
         return _not_applicable(kind, n, tau, f"m_{which} = 0; " + notes)
     stat = statistic(kind, profile, opts.mode)
-    v_ub = bound_variance(kind, profile, opts)
-    sigma = math.sqrt(1.0 / left + 4.0 / center + 1.0 / right)
-    z = (stat - tau) / sigma
-    if z <= 0.0:
-        log_p, p = 0.0, 1.0
-    else:
-        log_p = log_normal_sf(z)
-        if opts.cn_correction:
-            log_p = min(0.0, log_p + log_cn(n))
-        p = _clamp_p(log_p)
-    return TestResult(kind, n, stat, tau, v_ub, z, log_p, p, applicable=True, notes=notes)
+    var = 1.0 / left + 4.0 / center + 1.0 / right
+    z = (stat - tau) / math.sqrt(var)
+    log_p, p = p_value_gaussian(stat, tau, var, n, opts.cn_correction)
+    return TestResult(kind, n, stat, tau, n * n * var, z, log_p, p, applicable=True, notes=notes)
 
 
 def run_test(kind: TestKind, profile: CountProfile, opts: TestOptions | None = None) -> TestResult:
@@ -528,33 +532,32 @@ def run_test(kind: TestKind, profile: CountProfile, opts: TestOptions | None = N
     docstring for mode and variance semantics.
     """
     opts = opts or TestOptions()
-    violation = validate_profile(profile)
-    if violation is not None:
-        raise ValueError(violation)
+    weights = FAMILIES[kind.family].weights
+    bernstein = opts.pvalue_method is PValueMethod.BERNSTEIN
+    if bernstein and weights is None:
+        raise ValueError(f"bernstein tail not available for {kind.family}")
+    src = _resolve_variance(kind, opts)
+    if bernstein and src is not VarianceSource.THEORETICAL:
+        raise ValueError("bernstein tail requires the theoretical variance bound")
     n = profile.n
-    if opts.pvalue_method is PValueMethod.BERNSTEIN:
-        if kind.family not in _BERNSTEIN_B:
-            raise ValueError(f"bernstein tail not available for {kind.family}")
-        if _resolve_variance(kind, opts) is not VarianceSource.THEORETICAL:
-            raise ValueError("bernstein tail requires the theoretical variance bound")
     if n < 2:
         return _not_applicable(kind, n, math.nan, "sample too small (n < 2)")
+    notes = _describe(opts, src)
     if kind.family == "logcurv":
-        return _run_logcurv(kind, profile, opts)
+        return _run_logcurv(kind, profile, opts, notes)
 
-    src = _resolve_variance(kind, opts)
     stat = statistic(kind, profile, opts.mode)
     tau = bound_mean(kind, n, opts.mode)
     v_ub = bound_variance(kind, profile, opts)
-    notes = _describe(opts, src)
     if v_ub > 0.0:
         z = (stat - tau) / math.sqrt(v_ub)
     else:
         z = 0.0 if stat <= tau else math.inf
     if stat <= tau or not z > 0.0:
         log_p, p = 0.0, 1.0
-    elif opts.pvalue_method is PValueMethod.BERNSTEIN:
-        log_p, p = p_value_bernstein(stat, tau, v_ub, _BERNSTEIN_B[kind.family], n)
+    elif bernstein:
+        b = max(abs(w) for w in weights.values())
+        log_p, p = p_value_bernstein(stat, tau, v_ub, b, n)
     else:
         log_p, p = p_value_gaussian(stat, tau, v_ub, n, opts.cn_correction)
     return TestResult(kind, n, stat, tau, v_ub, z, log_p, p, applicable=True, notes=notes)

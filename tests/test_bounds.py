@@ -208,3 +208,36 @@ def test_theoretical_variance_composes_count_bounds():
     curv = bound_variance(TestKind("curv", 2), profile, opts)
     assert curv == pytest.approx(1000 * (4 * COUNT_PER_N[2] + COUNT_PER_N[1] + COUNT_PER_N[3]), rel=1e-12)
     assert curv == pytest.approx(1825.98, abs=0.01)
+
+
+# squared weights of each linear family, written out by hand so the check
+# below does not read the family table it is checking
+SQUARED_WEIGHTS = {
+    "count": {0: 1},
+    "slope": {0: 1, -1: 1},
+    "slopelower": {0: 1, -1: 1},
+    "curv": {0: 4, -1: 1, 1: 1},
+}
+
+
+def test_theoretical_variance_matches_hand_written_weights(capsys):
+    from iidtest.cli import main
+
+    for n in (100, 1000):
+        profile = CountProfile(n, {1: n})
+        for mode in Mode:
+            opts = TestOptions(mode=mode, variance_source="theoretical")
+            for family, squared in SQUARED_WEIGHTS.items():
+                ks = range(1 if family == "count" else 2, 6)
+                assert main(["bounds", "--kind", family, "--k", ",".join(map(str, ks)),
+                             "--n", str(n), "--mode", mode.value]) == 0
+                rows = capsys.readouterr().out.splitlines()[1:]
+                assert [int(row.split(",")[1]) for row in rows] == list(ks)
+                for k, row in zip(ks, rows):
+                    expected = sum(
+                        w * bound_mean(TestKind("count", k + off), n, mode)
+                        for off, w in squared.items()
+                    )
+                    kind = TestKind(family, k)
+                    assert bound_variance(kind, profile, opts) == pytest.approx(expected, rel=1e-14)
+                    assert float(row.split(",")[5]) == pytest.approx(expected, rel=1e-14)

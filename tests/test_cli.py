@@ -95,6 +95,16 @@ def test_test_theoretical_variance_rejects_parity_tests():
     assert "iidtest test:" in proc.stderr
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+@pytest.mark.parametrize("flags", [(), ("--no-correction",)])
+def test_test_alpha_outside_unit_interval_exits_one(alpha, flags):
+    for profile in (DOUBLED, json.dumps({"n": 5, "m": {"1": 5}})):
+        proc = run_cli("test", "--alpha", alpha, *flags, stdin=profile)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("iidtest test: alpha must lie in (0, 1)")
+
+
 def test_test_no_correction_reports_raw_decisions():
     proc = run_cli("test", "--no-correction", stdin=DOUBLED)
     assert proc.returncode == 2
@@ -268,11 +278,20 @@ def test_power_malformed_config_exits_one(tmp_path):
         ("config", "alpha_grid", 5),
         ("config", "alpha_star", "0.05"),
         ("config", "assert_validity", "yes"),
+        ("options", "cn", "off"),
+        ("options", "cn", "false"),
+        ("options", "cn", 1),
+        ("test", "cn", "off"),
     ],
 )
 def test_power_mistyped_field_exits_one_without_traceback(tmp_path, where, field, value):
     doc = _power_config(5)
-    (doc["generator"] if where == "generator" else doc)[field] = value
+    if where == "options":
+        doc["options"] = {field: value}
+    elif where == "test":
+        doc["tests"].append({"kind": "count:3", field: value})
+    else:
+        (doc["generator"] if where == "generator" else doc)[field] = value
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     proc = run_cli("power", "--config", str(cfg), "--output", str(tmp_path / "out"))

@@ -13,7 +13,6 @@ from iidtest.counts import (
     profile_from_counts,
     profile_from_json,
     profile_to_json,
-    validate_profile,
 )
 
 
@@ -90,27 +89,40 @@ def test_counts_round_trip_through_item_expansion(counts):
 
 
 def test_validate_accepts_consistent_profiles():
-    assert validate_profile(CountProfile(4, {2: 2})) is None
-    assert validate_profile(CountProfile(0, {})) is None
-    assert validate_profile(CountProfile(6, {1: 3, 3: 1}, {1: 3, 2: 1, 3: 1, 4: 1})) is None
+    assert CountProfile(4, {2: 2}).m(2) == 2
+    assert CountProfile(0, {}).m_plus == 0
+    profile = CountProfile(6, {1: 3, 3: 1}, {1: 3, 2: 1, 3: 1, 4: 1})
+    assert profile.first_order == {1: 3, 2: 1, 3: 1, 4: 1}
 
 
 def test_validate_reports_sum_mismatch():
-    message = validate_profile(CountProfile(5, {2: 2}))
-    assert message is not None and "does not match n" in message
+    with pytest.raises(ValueError, match="does not match n"):
+        CountProfile(5, {2: 2})
 
 
 def test_validate_reports_first_order_inconsistency():
-    message = validate_profile(CountProfile(4, {2: 2}, {1: 2, 2: 1, 3: 1}))
-    assert message is not None and "first_order" in message
+    with pytest.raises(ValueError, match="first_order"):
+        CountProfile(4, {2: 2}, {1: 2, 2: 1, 3: 1})
 
 
 def test_validate_rejects_malformed_fields():
-    assert validate_profile(CountProfile(-1, {})) is not None
-    assert validate_profile(CountProfile(True, {1: 1})) is not None
-    assert validate_profile(CountProfile(2, {0: 2})) is not None
-    assert validate_profile(CountProfile(2, {1: 2.0})) is not None
-    assert validate_profile(CountProfile(2, {2: True})) is not None
+    cases = [
+        ((-1, {}), "n must be"),
+        ((True, {1: 1}), "n must be"),
+        ((2.0, {1: 2}), "n must be"),
+        ((2, {0: 2}), "key must be"),
+        ((2, {1: 2.0}), "m_1 must be"),
+        ((2, {2: True}), "m_2 must be"),
+        # unsortable keys are refused before the sort, not by a TypeError from it
+        ((2, {"a": 1, 1: 1}), "key must be"),
+        ((2, [(1, 2)]), "multiplicities must"),
+        ((2, {1: 2}, {1: True, 2: 1}), "count for label"),
+        ((2, {2: 1}, {1: 2.0}), "count for label"),
+        ((2, {2: 1}, [2]), "first_order must"),
+    ]
+    for args, match in cases:
+        with pytest.raises(ValueError, match=match):
+            CountProfile(*args)
 
 
 def test_multiplicities_are_stored_sorted():

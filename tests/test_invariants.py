@@ -50,6 +50,10 @@ def test_kind_validation():
     with pytest.raises(ValueError):
         TestKind("slope", 1)
     with pytest.raises(ValueError):
+        TestKind("count", True)
+    with pytest.raises(ValueError):
+        TestKind("curv", 2.0)
+    with pytest.raises(ValueError):
         parse_kind("curv:x")
 
 
@@ -132,6 +136,12 @@ def test_even_odd_have_no_theoretical_variance():
         bound_variance(TestKind("even"), DOUBLED, opts)
     with pytest.raises(ValueError):
         run_test(TestKind("odd"), DOUBLED, opts)
+    # logcurv has no weights either: forcing the bound is an error, not a
+    # silent fall back to the empirical variance
+    with pytest.raises(ValueError, match="logcurv has no theoretical"):
+        bound_variance(TestKind("logcurv", 2), LOGCURV_EXAMPLE, opts)
+    with pytest.raises(ValueError, match="logcurv has no theoretical"):
+        run_test(TestKind("logcurv", 2), LOGCURV_EXAMPLE, opts)
 
 
 def test_gaussian_pvalue_boundary_and_level():
@@ -159,6 +169,10 @@ def test_cn_correction_charges_log_cn():
     # the charge can never push log p above zero
     mild, p = p_value_gaussian(0.1, 0.0, 1.0, 10**6, True)
     assert mild == 0.0 and p == 1.0
+    # only a bool switches the charge: the truthy "off" is refused
+    for value in ("off", "false", 1, None):
+        with pytest.raises(ValueError, match="cn_correction"):
+            TestOptions(cn_correction=value)
 
 
 def test_bernstein_pvalue_anchor_and_domain():
@@ -274,6 +288,7 @@ def test_run_test_tiny_samples_are_inapplicable():
 
 
 def test_run_test_rejects_invalid_profiles():
+    # refused when the profile is built, so it never reaches run_test
     with pytest.raises(ValueError):
         run_test(TestKind("even"), CountProfile(5, {2: 2}))
 
