@@ -28,7 +28,6 @@ from .harness import (
     config_from_json,
     config_to_json,
     emit_report,
-    parse_curves,
     rejection_curve,
     run_experiment,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "config_from_json",
     "config_to_json",
     "emit_report",
-    "parse_curves",
     "rejection_curve",
     "run_experiment",
     "DEFAULT_SUITE",

@@ -141,7 +141,7 @@ def _cmd_power(args) -> int:
     report = run_experiment(cfg, workers=args.workers)
     out_dir = Path(args.output or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, blob in emit_report(report, format="csv").items():
+    for name, blob in emit_report(report).items():
         (out_dir / name).write_bytes(blob)
     summary = {
         "config": config_to_json(cfg),

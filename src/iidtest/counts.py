@@ -14,7 +14,7 @@ import json
 import warnings
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "CountProfile",
@@ -39,20 +39,14 @@ class CountProfile:
         Total number of items.
     multiplicities : dict[int, int]
         Sparse map k -> m_k over k >= 1; zero entries are never stored.
-    first_order : dict[int, int] | None
-        Optional map label -> count for callers that kept labels.
-        Carries no information the tests use beyond ``multiplicities``.
 
     Construction checks the invariants and raises ValueError on the
     first violation: integral n >= 0, integral k >= 1 and m_k >= 1
-    entries, the identity sum k*m_k = n, and (when first_order is
-    present) integral counts >= 1 that reproduce n and the
-    multiplicities exactly.
+    entries, and the identity sum k*m_k = n.
     """
 
     n: int
     multiplicities: Mapping[int, int]
-    first_order: Mapping[int, int] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not _is_int(self.n) or self.n < 0:
@@ -67,17 +61,6 @@ class CountProfile:
         total = sum(k * m for k, m in self.multiplicities.items())
         if total != self.n:
             raise ValueError(f"sum k*m_k = {total} does not match n = {self.n}")
-        if self.first_order is not None:
-            if not isinstance(self.first_order, Mapping):
-                raise ValueError("first_order must map labels to counts")
-            for label, count in self.first_order.items():
-                if not _is_int(count) or count < 1:
-                    raise ValueError(f"count for label {label!r} must be an integer >= 1")
-            if sum(self.first_order.values()) != self.n:
-                raise ValueError("first_order counts do not sum to n")
-            if dict(Counter(self.first_order.values())) != dict(self.multiplicities):
-                raise ValueError("first_order inconsistent with multiplicities")
-            object.__setattr__(self, "first_order", dict(self.first_order))
         ordered = dict(sorted(self.multiplicities.items()))
         object.__setattr__(self, "multiplicities", ordered)
 
@@ -94,9 +77,9 @@ class CountProfile:
 def ingest_items(items: Iterable[bytes | str], hashed: bool = False) -> CountProfile:
     """Reduce a finite stream of items to a count profile.
 
-    Each distinct byte string gets a dense integer label in order of
-    first appearance and the per-label counts are folded into
-    multiplicities. Strings are compared as their UTF-8 bytes.
+    Each distinct byte string is counted and the per-item counts are
+    folded into multiplicities. Strings are compared as their UTF-8
+    bytes.
 
     With ``hashed=True`` items are keyed by a 128-bit BLAKE2 digest
     instead of being kept verbatim. That caps memory per distinct item
@@ -109,59 +92,57 @@ def ingest_items(items: Iterable[bytes | str], hashed: bool = False) -> CountPro
             "counts are then slightly wrong with probability ~ d^2 / 2^128",
             stacklevel=2,
         )
-    labels: dict[bytes, int] = {}
-    counts: Counter[int] = Counter()
+    counts: Counter[bytes] = Counter()
     n = 0
     for item in items:
         data = item.encode() if isinstance(item, str) else bytes(item)
         if hashed:
             data = hashlib.blake2b(data, digest_size=16).digest()
-        label = labels.setdefault(data, len(labels) + 1)
-        counts[label] += 1
+        counts[data] += 1
         n += 1
-    multiplicities = Counter(counts.values())
-    return CountProfile(n, dict(multiplicities), dict(counts))
+    return CountProfile(n, dict(Counter(counts.values())))
 
 
 def profile_from_counts(counts: Iterable[int]) -> CountProfile:
     """Build a profile from per-item occurrence counts.
 
-    Entry point when only the counts n_x are known; labels 1..d are
-    synthesized. Zero or negative counts are rejected, an item that was
-    never seen has no count.
+    Entry point when only the counts n_x are known. Zero or negative
+    counts are rejected, an item that was never seen has no count.
     """
     counts = list(counts)
     for c in counts:
         if not _is_int(c) or c < 1:
             raise ValueError(f"counts must be integers >= 1, got {c!r}")
-    first_order = {x + 1: c for x, c in enumerate(counts)}
-    return CountProfile(sum(counts), dict(Counter(counts)), first_order)
+    return CountProfile(sum(counts), dict(Counter(counts)))
 
 
-def profile_to_json(profile: CountProfile, include_counts: bool = False) -> str:
-    """Serialize to the flat document ``{"n": ..., "m": {"k": m_k}}``.
+def profile_to_json(profile: CountProfile) -> str:
+    """Serialize to the flat document ``{"n": ..., "m": {"k": m_k}}``."""
+    return json.dumps(
+        {"n": profile.n, "m": {str(k): m for k, m in profile.multiplicities.items()}}
+    )
 
-    ``include_counts=True`` adds a ``counts`` list when first-order
-    counts are available.
-    """
-    doc: dict = {
-        "n": profile.n,
-        "m": {str(k): m for k, m in profile.multiplicities.items()},
-    }
-    if include_counts and profile.first_order is not None:
-        doc["counts"] = sorted(profile.first_order.values(), reverse=True)
-    return json.dumps(doc)
+
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def profile_from_json(text: str) -> CountProfile:
     """Parse and validate a profile document.
 
     Raises ValueError with a description for anything malformed: bad
-    JSON, missing fields, non-integer keys, or violated invariants
-    (including a ``counts`` list inconsistent with ``n``/``m``).
+    JSON, missing fields, repeated keys, keys of ``m`` that are not
+    canonical decimal integers, or violated invariants. An optional
+    ``counts`` list of per-item counts must reproduce ``n`` and ``m``;
+    it is checked, then discarded.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -172,17 +153,14 @@ def profile_from_json(text: str) -> CountProfile:
         raise ValueError("'m' must be an object mapping k to m_k")
     multiplicities = {}
     for key, value in doc["m"].items():
-        try:
-            k = int(key)
-        except (TypeError, ValueError):
-            raise ValueError(f"multiplicity key {key!r} is not an integer") from None
-        multiplicities[k] = value
-    first_order = None
+        # only the canonical form, else "01", "+1", " 1 " or "1_0" could merge with "1"
+        if not key.isdecimal() or str(int(key)) != key:
+            raise ValueError(f"multiplicity key {key!r} is not a canonical decimal integer")
+        multiplicities[int(key)] = value
+    profile = CountProfile(doc["n"], multiplicities)
     if "counts" in doc:
         if not isinstance(doc["counts"], list):
             raise ValueError("'counts' must be a list of integers")
-        for c in doc["counts"]:
-            if not _is_int(c) or c < 1:
-                raise ValueError(f"counts must be integers >= 1, got {c!r}")
-        first_order = {x + 1: c for x, c in enumerate(doc["counts"])}
-    return CountProfile(doc["n"], multiplicities, first_order)
+        if profile_from_counts(doc["counts"]) != profile:
+            raise ValueError("'counts' do not reproduce n and m")
+    return profile

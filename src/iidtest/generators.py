@@ -198,39 +198,36 @@ def _sample_counts(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
     return _count_iid(theta, spec.n - 2 * d, rng) + 2
 
 
-def _profile_from_counts(n: int, counts: np.ndarray, keep_first_order: bool) -> CountProfile:
+def _profile_from_counts(n: int, counts: np.ndarray) -> CountProfile:
     # counts[i] is the count of label i + 1
-    if n == 0:
-        return CountProfile(0, {}, {} if keep_first_order else None)
-    observed = np.flatnonzero(counts)
-    mult = np.bincount(counts[observed])
-    multiplicities = {int(k): int(mult[k]) for k in np.flatnonzero(mult)}
-    first_order = None
-    if keep_first_order:
-        first_order = {int(x) + 1: int(counts[x]) for x in observed}
-    return CountProfile(n, multiplicities, first_order)
-
-
-def _profile_from_labels(labels: np.ndarray, keep_first_order: bool) -> CountProfile:
-    return _profile_from_counts(int(labels.size), np.bincount(labels)[1:], keep_first_order)
+    mult = np.bincount(counts[np.flatnonzero(counts)])
+    return CountProfile(n, {int(k): int(mult[k]) for k in np.flatnonzero(mult)})
 
 
 def sample(
     spec: GeneratorSpec,
     rng: np.random.Generator | None = None,
-    keep_first_order: bool = True,
+    *,
+    keep_first_order: bool = False,
 ) -> CountProfile:
     """Draw one profile from the spec, deterministically in its seed.
 
     The profile, and the generator state afterwards, equal those of
     ``sample_items`` with the same generator; iid kinds are counted
     per category without labelling each item.
+
+    ``keep_first_order`` must be False: profiles carry no per-label
+    counts. It stays only while the benchmark's traced replay passes
+    it, and goes after a benchmark-only change drops that argument.
     """
+    if keep_first_order:
+        raise ValueError("profiles keep no first-order counts; keep_first_order must be False")
     if spec.kind == "cards":
-        return _profile_from_labels(sample_items(spec, rng), keep_first_order)
+        labels = sample_items(spec, rng)
+        return _profile_from_counts(labels.size, np.bincount(labels)[1:])
     if rng is None:
         rng = _rng(spec.seed)
-    return _profile_from_counts(spec.n, _sample_counts(spec, rng), keep_first_order)
+    return _profile_from_counts(spec.n, _sample_counts(spec, rng))
 
 
 def expected_mk(theta: np.ndarray, n: int, k_max: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from .invariants import (
     TestKind,
     TestOptions,
     VarianceSource,
+    _check_options,
     parse_kind,
     run_test,
 )
@@ -39,7 +40,6 @@ __all__ = [
     "run_experiment",
     "rejection_curve",
     "emit_report",
-    "parse_curves",
     "config_to_json",
     "config_from_json",
 ]
@@ -47,6 +47,10 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 _DEFAULT_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,9 @@ class ExperimentConfig:
     asks consumers (the CLI) to fail when any test rejects more often
     than alpha_star allows at three standard errors; it is meant for
     iid configs only.
+
+    Construction checks every field and raises ValueError on the first
+    violation, including a test whose family cannot take its options.
     """
 
     generator: GeneratorSpec
@@ -70,8 +77,19 @@ class ExperimentConfig:
     assert_validity: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("reps", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.assert_validity, bool):
+            raise ValueError(f"assert_validity must be true or false, got {self.assert_validity!r}")
+        if not _is_number(self.alpha_star):
+            raise ValueError(f"alpha_star must be a number, got {self.alpha_star!r}")
+        grid = self.alpha_grid
+        if not isinstance(grid, (list, tuple)) or not all(map(_is_number, grid)):
+            raise ValueError(f"alpha_grid must be a list of numbers, got {grid!r}")
         object.__setattr__(self, "tests", tuple((k, o) for k, o in self.tests))
-        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
+        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in grid))
         if not self.tests:
             raise ValueError("need at least one test")
         if self.reps < 1:
@@ -86,6 +104,11 @@ class ExperimentConfig:
         kinds = [str(kind) for kind, _ in self.tests]
         if len(set(kinds)) != len(kinds):
             raise ValueError("duplicate test kinds in suite")
+        for kind, opts in self.tests:
+            try:
+                _check_options(kind, opts)
+            except ValueError as exc:
+                raise ValueError(f"{kind}: {exc}") from None
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -135,7 +158,7 @@ def _run_range(cfg: ExperimentConfig, start: int, stop: int):
     rows = []
     for rep in range(start, stop):
         rng = np.random.Generator(np.random.Philox(key=(cfg.seed ^ rep) & _MASK64))
-        profile = sample(cfg.generator, rng=rng, keep_first_order=False)
+        profile = sample(cfg.generator, rng=rng)
         u = float(rng.random())
         ps = tuple(run_test(kind, profile, opts).p for kind, opts in cfg.tests)
         rows.append((rep, ps, profile.multiplicities, u))
@@ -202,37 +225,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def emit_report(report: ExperimentReport, format: str = "csv") -> dict[str, bytes]:
-    """Serialize a report to named documents.
+def emit_report(report: ExperimentReport) -> dict[str, bytes]:
+    """Serialize a report to three named CSV tables.
 
-    ``csv`` yields three tables. pvalues.csv holds one row per
-    repetition and test (columns rep,test,k,p; k empty for the k-free
-    tests and the control). curves.csv holds the rejection curves
-    (header exactly ``test,k,alpha,fraction,stderr``). mk.csv compares
-    the first sampled profile, the Monte Carlo average and the exact
-    iid expectation per k. ``structured`` yields the same content as
-    one JSON document.
+    pvalues.csv holds one row per repetition and test (columns
+    rep,test,k,p; k empty for the k-free tests and the control).
+    curves.csv holds the rejection curves (header exactly
+    ``test,k,alpha,fraction,stderr``). mk.csv compares the first
+    sampled profile, the Monte Carlo average and the exact iid
+    expectation per k.
     """
     cfg = report.config
-    if format == "structured":
-        doc = {
-            "config": config_to_json(cfg),
-            "pvalues": {label: list(ps) for label, ps in report.pvalues.items()},
-            "curves": {
-                label: [list(row) for row in rows]
-                for label, rows in report.curves.items()
-            },
-            "headline": {label: list(h) for label, h in report.headline.items()},
-            "mk": {
-                "sample_m": {str(k): v for k, v in sorted(report.sample_m.items())},
-                "avg_m": {str(k): v for k, v in sorted(report.avg_m.items())},
-                "expected_m": {str(k): v for k, v in sorted(report.expected_m.items())},
-            },
-        }
-        return {"report.json": (json.dumps(doc, indent=2) + "\n").encode()}
-    if format != "csv":
-        raise ValueError(f"unknown format {format!r}")
-
     pbuf = io.StringIO()
     writer = csv.writer(pbuf, lineterminator="\n")
     writer.writerow(["rep", "test", "k", "p"])
@@ -270,46 +273,11 @@ def emit_report(report: ExperimentReport, format: str = "csv") -> dict[str, byte
     }
 
 
-def parse_curves(data: bytes) -> dict[str, tuple[tuple[float, float, float], ...]]:
-    """Inverse of the curves.csv table, for round-trip checks."""
-    text = data.decode()
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["test", "k", "alpha", "fraction", "stderr"]:
-        raise ValueError(f"unexpected curves.csv header: {header!r}")
-    out: dict[str, list[tuple[float, float, float]]] = {}
-    for name, k, alpha, frac, stderr in reader:
-        label = f"{name}:{k}" if k else name
-        out.setdefault(label, []).append((float(alpha), float(frac), float(stderr)))
-    return {label: tuple(rows) for label, rows in out.items()}
-
-
 _GENERATOR_KEYS = {"kind", "n", "d", "corruption", "decks", "seed"}
-_CONFIG_KEYS = {
-    "generator",
-    "tests",
-    "options",
-    "reps",
-    "alpha_grid",
-    "alpha_star",
-    "seed",
-    "assert_validity",
-}
+# passed to ExperimentConfig as they are; it checks them
+_PLAIN_KEYS = ("reps", "alpha_grid", "alpha_star", "seed", "assert_validity")
+_CONFIG_KEYS = {"generator", "tests", "options", *_PLAIN_KEYS}
 _OPTION_KEYS = {"mode", "cn", "variance", "pvalue"}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# top-level config field -> (accepts the JSON value, what it must be)
-_CONFIG_FIELDS = {
-    "reps": (_is_int, "an integer"),
-    "alpha_grid": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
-    "alpha_star": (_is_number, "a number"),
-    "seed": (_is_int, "an integer"),
-    "assert_validity": (lambda v: isinstance(v, bool), "true or false"),
-}
 
 
 def _options_from(doc: dict, base: TestOptions) -> TestOptions:
@@ -379,12 +347,7 @@ def config_from_json(text: str) -> ExperimentConfig:
             tests.append((parse_kind(entry["kind"]), opts))
         else:
             raise ValueError(f"bad test entry {entry!r}")
-    kwargs = {}
-    for name, (accepts, what) in _CONFIG_FIELDS.items():
-        if name in doc:
-            if not accepts(doc[name]):
-                raise ValueError(f"'{name}' must be {what}, got {doc[name]!r}")
-            kwargs[name] = tuple(doc[name]) if name == "alpha_grid" else doc[name]
+    kwargs = {name: doc[name] for name in _PLAIN_KEYS if name in doc}
     return ExperimentConfig(generator=spec, tests=tuple(tests), **kwargs)
 
 

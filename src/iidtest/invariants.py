@@ -367,12 +367,23 @@ def _linear_weights(kind: TestKind) -> dict[int, int]:
     return weights
 
 
-def _resolve_variance(kind: TestKind, opts: TestOptions) -> VarianceSource:
+def _check_options(kind: TestKind, opts: TestOptions) -> VarianceSource:
+    """The variance source run_test and bound_variance use for ``kind``.
+
+    Raises ValueError when the family cannot take the options: a forced
+    theoretical variance without weights, or a Bernstein tail without a
+    theoretical variance bound.
+    """
+    bernstein = opts.pvalue_method is PValueMethod.BERNSTEIN
+    if bernstein and FAMILIES[kind.family].weights is None:
+        raise ValueError(f"bernstein tail not available for {kind.family}")
     src = opts.variance_source
     if src is VarianceSource.AUTO:
-        return VarianceSource.THEORETICAL if kind.family == "count" else VarianceSource.EMPIRICAL
-    if src is VarianceSource.THEORETICAL:
+        src = VarianceSource.THEORETICAL if kind.family == "count" else VarianceSource.EMPIRICAL
+    elif src is VarianceSource.THEORETICAL:
         _linear_weights(kind)  # raises for a family without weights
+    if bernstein and src is not VarianceSource.THEORETICAL:
+        raise ValueError("bernstein tail requires the theoretical variance bound")
     return src
 
 
@@ -400,7 +411,7 @@ def bound_variance(kind: TestKind, profile: CountProfile, opts: TestOptions | No
     the delta-method variance expressed on the common count scale.
     """
     opts = opts or TestOptions()
-    src = _resolve_variance(kind, opts)
+    src = _check_options(kind, opts)
     m = profile.m
     n = profile.n
     k = kind.k
@@ -453,19 +464,14 @@ def p_value_gaussian(
 
 
 def p_value_bernstein(
-    statistic: float,
-    tau_ub: float,
-    v_ub_det: float,
-    b: float,
-    n: int | None = None,
+    statistic: float, tau_ub: float, v_ub_det: float, b: float
 ) -> tuple[float, float]:
     """One-sided Bernstein tail p-value, valid non-asymptotically.
 
     Requires a deterministic variance bound ``v_ub_det`` (theoretical,
     never empirical) and the per-item statistic range ``b`` (1 for
-    count/slope, 2 for curvature). ``n`` is accepted for signature
-    symmetry with the Gaussian form and unused. The excess
-    statistic - tau_ub must be positive.
+    count/slope, 2 for curvature). The excess statistic - tau_ub must
+    be positive.
     """
     gap = statistic - tau_ub
     if gap <= 0.0:
@@ -532,13 +538,7 @@ def run_test(kind: TestKind, profile: CountProfile, opts: TestOptions | None = N
     docstring for mode and variance semantics.
     """
     opts = opts or TestOptions()
-    weights = FAMILIES[kind.family].weights
-    bernstein = opts.pvalue_method is PValueMethod.BERNSTEIN
-    if bernstein and weights is None:
-        raise ValueError(f"bernstein tail not available for {kind.family}")
-    src = _resolve_variance(kind, opts)
-    if bernstein and src is not VarianceSource.THEORETICAL:
-        raise ValueError("bernstein tail requires the theoretical variance bound")
+    src = _check_options(kind, opts)
     n = profile.n
     if n < 2:
         return _not_applicable(kind, n, math.nan, "sample too small (n < 2)")
@@ -555,12 +555,22 @@ def run_test(kind: TestKind, profile: CountProfile, opts: TestOptions | None = N
         z = 0.0 if stat <= tau else math.inf
     if stat <= tau or not z > 0.0:
         log_p, p = 0.0, 1.0
-    elif bernstein:
-        b = max(abs(w) for w in weights.values())
-        log_p, p = p_value_bernstein(stat, tau, v_ub, b, n)
+    elif opts.pvalue_method is PValueMethod.BERNSTEIN:
+        b = max(abs(w) for w in FAMILIES[kind.family].weights.values())
+        log_p, p = p_value_bernstein(stat, tau, v_ub, b)
     else:
         log_p, p = p_value_gaussian(stat, tau, v_ub, n, opts.cn_correction)
     return TestResult(kind, n, stat, tau, v_ub, z, log_p, p, applicable=True, notes=notes)
+
+
+def _combinable(results: Iterable[TestResult], alpha: float | None) -> list[TestResult]:
+    results = list(results)
+    if not results:
+        raise ValueError("need at least one result to combine")
+    # written so that NaN fails too
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return results
 
 
 def combine_bonferroni(results: Iterable[TestResult], alpha: float) -> CombinedResult:
@@ -569,11 +579,7 @@ def combine_bonferroni(results: Iterable[TestResult], alpha: float) -> CombinedR
     Combined p = min(1, |suite| * min p); rejects when it is <= alpha.
     Records the member that attained the minimum.
     """
-    results = list(results)
-    if not results:
-        raise ValueError("need at least one result to combine")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    results = _combinable(results, alpha)
     best = min(results, key=lambda r: r.p)
     p = min(1.0, len(results) * best.p)
     return CombinedResult(p=p, source=best.kind, reject=p <= alpha)
@@ -585,21 +591,23 @@ def combine_weighted_infinite(
     """Combination over a k-indexed family with weights k(k+1).
 
     Valid for any finite subset of the a-priori enumeration k = 1, 2,
-    ... because the weights sum to at most 1 over the full family;
+    ... of one family because the weights sum to at most 1 over it;
     evaluating only some k can only weaken the bound. Every supplied
-    result must carry a k (even/odd have no enumeration position).
+    result must carry a k (even/odd have no enumeration position), all
+    from one family and each k at most once: the weights of two
+    families, or a repeated k, sum past 1 and void the bound.
     """
-    results = list(results)
-    if not results:
-        raise ValueError("need at least one result to combine")
-    best_p = math.inf
-    best_kind = None
+    results = _combinable(results, alpha)
     for r in results:
         if r.kind.k is None:
             raise ValueError(f"{r.kind} has no k; weighted combination needs k-indexed tests")
-        weighted = r.kind.k * (r.kind.k + 1) * r.p
-        if weighted < best_p:
-            best_p, best_kind = weighted, r.kind
-    p = min(1.0, best_p)
+    if len({r.kind.family for r in results}) > 1 or len({r.kind.k for r in results}) < len(results):
+        raise ValueError("weighted combination needs distinct k from one family")
+
+    def weighted(r: TestResult) -> float:
+        return r.kind.k * (r.kind.k + 1) * r.p
+
+    best = min(results, key=weighted)
+    p = min(1.0, weighted(best))
     reject = None if alpha is None else p <= alpha
-    return CombinedResult(p=p, source=best_kind, reject=reject)
+    return CombinedResult(p=p, source=best.kind, reject=reject)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .counts import CountProfile
-from .generators import GeneratorSpec, expected_mk, sample, sample_items
+from .generators import GeneratorSpec, _sample_counts, expected_mk, sample, sample_items
 from .invariants import Mode, TestKind, bound_mean, statistic
 from .numerics import (
     log_binomial_pmf,
@@ -313,13 +313,14 @@ def _check_sampler_determinism() -> tuple[bool, str]:
     ):
         spec = GeneratorSpec(kind=kind, n=n, d=d, corruption=corruption)
         for key in (907, 2**64 - 1):
-            fast_rng = np.random.Generator(np.random.Philox(key=key))
-            slow_rng = np.random.Generator(np.random.Philox(key=key))
-            profile = sample(spec, rng=fast_rng)
-            counts = Counter(sample_items(spec, rng=slow_rng).tolist())
-            if profile.first_order != counts or profile.multiplicities != Counter(counts.values()):
+            rngs = [np.random.Generator(np.random.Philox(key=key)) for _ in range(3)]
+            profile = sample(spec, rng=rngs[0])
+            counts = _sample_counts(spec, rngs[1])
+            labelled = np.bincount(sample_items(spec, rng=rngs[2]), minlength=counts.size + 1)[1:]
+            mult = Counter(labelled[labelled > 0].tolist())
+            if not np.array_equal(counts, labelled) or profile.multiplicities != mult:
                 return False, f"sample differs from its items for {spec} at key {key}"
-            if fast_rng.random() != slow_rng.random():
+            if len({rng.random() for rng in rngs}) != 1:
                 return False, f"sample left a different generator state for {spec} at key {key}"
             cases += 1
     return True, f"profiles are a pure function of the spec and match their items ({cases} cases)"

@@ -301,6 +301,29 @@ def test_power_mistyped_field_exits_one_without_traceback(tmp_path, where, field
     assert field in proc.stderr
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"kind": "logcurv:2", "variance": "theoretical"},
+        {"kind": "odd", "variance": "theoretical"},
+        {"kind": "odd", "pvalue": "bernstein"},
+    ],
+)
+def test_power_option_its_family_cannot_take_exits_one(tmp_path, entry, workers):
+    doc = _power_config(5)
+    doc["tests"].append(entry)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    proc = run_cli("power", "--config", str(cfg), "--output", str(out), "--workers", workers)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"iidtest power: {entry['kind']}:")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_single_suite():
     proc = run_cli("verify", "--suite", "stirling")
     assert proc.returncode == 0

@@ -1,6 +1,7 @@
 """Synthetic sources: theta construction, corruption rules, expected counts."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from iidtest.generators import (
     GeneratorSpec,
     _count_iid,
     _draw_iid,
-    _profile_from_labels,
+    _sample_counts,
     expected_mk,
     make_theta,
     reference_theta,
@@ -117,22 +118,36 @@ def test_sample_items_ranges():
 
 
 def test_sample_keeps_or_drops_first_order():
+    # profiles carry no per-label counts; only False is still accepted
     spec = GeneratorSpec("uniform", n=12, d=4, seed=1)
-    assert sample(spec).first_order is not None
-    assert sample(spec, keep_first_order=False).first_order is None
+    with pytest.raises(ValueError, match="keep_first_order"):
+        sample(spec, keep_first_order=True)
+    with pytest.raises(TypeError):
+        sample(spec, None, False)
+    rng = np.random.Generator(np.random.Philox(key=1))
+    assert sample(spec, rng=rng, keep_first_order=False).n == 12
+    assert sample(spec, keep_first_order=False) == sample(spec)
 
 
-def _assert_sample_matches_labels(spec, key, keep_first_order):
+def _philox(key):
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _assert_sample_matches_labels(spec, key, **sample_kwargs):
     # sample counts per category; sample_items labels every item from
-    # the same uniforms, so the profiles and the next draw must agree
-    fast_rng = np.random.Generator(np.random.Philox(key=key))
-    slow_rng = np.random.Generator(np.random.Philox(key=key))
-    fast = sample(spec, rng=fast_rng, keep_first_order=keep_first_order)
-    slow = _profile_from_labels(sample_items(spec, rng=slow_rng), keep_first_order)
-    assert fast.n == slow.n == spec.n
-    assert fast.multiplicities == slow.multiplicities
-    assert fast.first_order == slow.first_order
-    assert fast_rng.random() == slow_rng.random()
+    # the same uniforms, so the counts, the profiles and the next draw
+    # must agree
+    fast_rng, count_rng, slow_rng = _philox(key), _philox(key), _philox(key)
+    items = sample_items(spec, rng=slow_rng)
+    profile = sample(spec, rng=fast_rng, **sample_kwargs)
+    assert profile.n == items.size == spec.n
+    assert profile.multiplicities == Counter(Counter(items.tolist()).values())
+    following = slow_rng.random()
+    assert fast_rng.random() == following
+    if spec.kind != "cards":
+        counts = _sample_counts(spec, count_rng)
+        assert np.array_equal(counts, np.bincount(items, minlength=counts.size + 1)[1:])
+        assert count_rng.random() == following
 
 
 _CORRUPTION_NAMES = ["none", "even_n", "even_m", "no_empty", "no_unique"]
@@ -151,9 +166,9 @@ def _iid_specs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_iid_specs(), st.integers(0, 2**64 - 1), st.booleans())
-def test_sample_equals_profile_of_sample_items(spec, key, keep_first_order):
-    _assert_sample_matches_labels(spec, key, keep_first_order)
+@given(_iid_specs(), st.integers(0, 2**64 - 1))
+def test_sample_equals_profile_of_sample_items(spec, key):
+    _assert_sample_matches_labels(spec, key)
 
 
 @pytest.mark.parametrize("kind", ["uniform", "linear"])
@@ -161,7 +176,7 @@ def test_sample_equals_profile_of_sample_items(spec, key, keep_first_order):
 def test_sample_equals_profile_of_sample_items_at_scale(kind, corruption):
     spec = GeneratorSpec(kind, n=100_000, d=33_333, corruption=corruption)
     for key in (0, 301, 2**63 + 5):
-        _assert_sample_matches_labels(spec, key, keep_first_order=key == 0)
+        _assert_sample_matches_labels(spec, key)
 
 
 @pytest.mark.parametrize(
@@ -178,7 +193,14 @@ def test_sample_equals_profile_of_sample_items_at_scale(kind, corruption):
 )
 @pytest.mark.parametrize("keep_first_order", [True, False])
 def test_sample_equals_profile_of_sample_items_edge_cases(spec, keep_first_order):
-    _assert_sample_matches_labels(spec, 17, keep_first_order)
+    if not keep_first_order:
+        _assert_sample_matches_labels(spec, 17, keep_first_order=False)
+        return
+    # refused before anything is drawn, whatever the spec
+    rng = _philox(17)
+    with pytest.raises(ValueError, match="keep_first_order"):
+        sample(spec, rng=rng, keep_first_order=True)
+    assert rng.random() == _philox(17).random()
 
 
 class _FixedUniforms:
@@ -201,10 +223,11 @@ def test_count_iid_puts_edge_uniforms_where_labels_do():
 
 def test_sample_first_order_of_even_m_spans_fresh_labels():
     spec = GeneratorSpec("uniform", n=40, d=10, corruption="even_m", seed=4)
-    counts = sample(spec).first_order
+    counts = _sample_counts(spec, _philox(spec.seed))
     labels = sample_items(spec)
-    assert counts == {int(x): int(c) for x, c in zip(*np.unique(labels, return_counts=True))}
-    assert max(counts) > 10
+    observed = {x + 1: c for x, c in enumerate(counts.tolist()) if c}
+    assert observed == {int(x): int(c) for x, c in zip(*np.unique(labels, return_counts=True))}
+    assert counts.size == 20 and max(observed) > 10
 
 
 def test_expected_mk_closed_cases():

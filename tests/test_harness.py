@@ -11,11 +11,17 @@ from iidtest.harness import (
     config_from_json,
     config_to_json,
     emit_report,
-    parse_curves,
     rejection_curve,
     run_experiment,
 )
-from iidtest.invariants import DEFAULT_SUITE, Mode, TestKind, TestOptions, VarianceSource
+from iidtest.invariants import (
+    DEFAULT_SUITE,
+    Mode,
+    PValueMethod,
+    TestKind,
+    TestOptions,
+    VarianceSource,
+)
 
 
 def suite_config(generator, reps, seed=0, tests=DEFAULT_SUITE, **kwargs):
@@ -47,6 +53,36 @@ def test_config_validation():
         suite_config(gen, reps=5, alpha_star=1.0)
     with pytest.raises(ValueError):
         suite_config(gen, reps=5, tests=(TestKind("even"), TestKind("even")))
+    mistyped = [
+        {"reps": True},
+        {"reps": 2.0},
+        {"seed": 1.5},
+        {"seed": False},
+        {"assert_validity": 1},
+        {"alpha_star": "0.05"},
+        {"alpha_grid": (0.01, "0.05")},
+        {"alpha_grid": 0.05},
+    ]
+    for fields in mistyped:
+        name = next(iter(fields))
+        with pytest.raises(ValueError, match=name):
+            suite_config(gen, **{"reps": 5, **fields})
+
+
+def test_config_refuses_options_a_family_cannot_take():
+    gen = GeneratorSpec("uniform", n=30, d=10)
+    theoretical = TestOptions(variance_source=VarianceSource.THEORETICAL)
+    bernstein = TestOptions(pvalue_method=PValueMethod.BERNSTEIN)
+    bad = [
+        (TestKind("logcurv", 2), theoretical),
+        (TestKind("even"), theoretical),
+        (TestKind("even"), bernstein),
+        (TestKind("slope", 2), bernstein),
+    ]
+    for kind, opts in bad:
+        with pytest.raises(ValueError, match=str(kind)):
+            ExperimentConfig(generator=gen, tests=((kind, opts),), reps=5)
+    ExperimentConfig(generator=gen, tests=((TestKind("count", 2), bernstein),), reps=5)
 
 
 def test_labels_append_the_control():
@@ -154,25 +190,16 @@ def test_mk_table_shows_missing_singletons_under_corruption():
     assert float(by_k[1][3]) > 0.0
 
 
-def test_structured_report_round_trips_the_config():
-    cfg = suite_config(GeneratorSpec("uniform", n=30, d=10, seed=3), reps=2, seed=3)
-    report = run_experiment(cfg)
-    docs = emit_report(report, format="structured")
-    doc = json.loads(docs["report.json"].decode())
-    assert set(doc) == {"config", "pvalues", "curves", "headline", "mk"}
-    assert config_from_json(json.dumps(doc["config"])) == cfg
-    assert doc["pvalues"]["u"] == list(report.pvalues["u"])
-    with pytest.raises(ValueError):
-        emit_report(report, format="yaml")
-
-
-def test_parse_curves_inverts_emit():
+def test_curves_csv_matches_report():
     cfg = suite_config(GeneratorSpec("linear", n=45, d=9, seed=7), reps=8, seed=7)
     report = run_experiment(cfg)
-    parsed = parse_curves(emit_report(report)["curves.csv"])
-    assert parsed == report.curves
-    with pytest.raises(ValueError):
-        parse_curves(b"test,alpha,fraction\n")
+    lines = emit_report(report)["curves.csv"].decode().splitlines()
+    assert lines[0] == "test,k,alpha,fraction,stderr"
+    parsed = {}
+    for name, k, alpha, frac, stderr in (line.split(",") for line in lines[1:]):
+        label = f"{name}:{k}" if k else name
+        parsed.setdefault(label, []).append((float(alpha), float(frac), float(stderr)))
+    assert {label: tuple(rows) for label, rows in parsed.items()} == report.curves
 
 
 def test_config_json_round_trip():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
-from iidtest.counts import CountProfile, profile_from_counts
+from iidtest.counts import CountProfile, ingest_items, profile_from_counts
 from iidtest.invariants import (
     DEFAULT_SUITE,
     Mode,
@@ -378,6 +378,17 @@ def test_weighted_infinite_combination():
         combine_weighted_infinite([_result(TestKind("even"), 0.01)])
     with pytest.raises(ValueError):
         combine_weighted_infinite([])
+    ones = [_result(TestKind("count", 2), 1.0)]
+    for alpha in (1.5, math.nan, 0.0, 1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            combine_weighted_infinite(ones, alpha=alpha)
+    # the k(k+1) weights sum to 1 over one family: count:k with curv:k
+    # or a repeated k would let the combination reach 1.5 alpha
+    mixed = [_result(TestKind("count", 2), 0.01), _result(TestKind("curv", 2), 0.01)]
+    repeated = [_result(TestKind("count", 2), 0.01), _result(TestKind("count", 2), 0.02)]
+    for results in (mixed, repeated):
+        with pytest.raises(ValueError, match="distinct k from one family"):
+            combine_weighted_infinite(results, alpha=0.05)
 
 
 PROFILES = st.lists(st.integers(1, 9), min_size=2, max_size=30).map(profile_from_counts)
@@ -413,10 +424,21 @@ def test_one_sidedness_property(profile, kind, mode):
         assert res.statistic > res.tau_ub
 
 
-@given(PROFILES, KINDS)
-def test_results_ignore_first_order_labels(profile, kind):
-    stripped = CountProfile(profile.n, profile.multiplicities)
-    assert run_test(kind, profile) == run_test(kind, stripped)
+@given(
+    st.lists(st.integers(0, 12), max_size=80),
+    st.randoms(use_true_random=False),
+    st.lists(st.text(max_size=3), min_size=13, max_size=13, unique=True),
+)
+def test_results_are_label_and_order_invariant(labels, shuffler, names):
+    # any injective relabelling of a shuffled sample gives the same profile
+    # and the same results on the default suite
+    items = [str(x) for x in labels]
+    renamed = [names[x] for x in labels]
+    shuffler.shuffle(renamed)
+    original, relabelled = ingest_items(items), ingest_items(renamed)
+    assert original == relabelled
+    for kind in DEFAULT_SUITE:
+        assert repr(run_test(kind, original)) == repr(run_test(kind, relabelled))
 
 
 @given(st.lists(st.floats(0.1, 50.0), min_size=2, max_size=8))
