@@ -198,9 +198,50 @@ def _sample_counts(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
     return _count_iid(theta, spec.n - 2 * d, rng) + 2
 
 
+def _deal_counts(spec: GeneratorSpec, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Face counts of the hands _draw_cards deals from each generator,
+    one row per generator and faces 1..52 in columns 0..51.
+
+    Each generator draws its n offsets as _draw_cards does, so each is
+    left in the same state; the n swap steps then run across all rows
+    at once, with the same float product and truncation per target."""
+    n, total = spec.n, 52 * spec.decks
+    offsets = np.array([rng.random(n) for rng in rngs])
+    pool = np.tile(np.repeat(np.arange(1, 53), spec.decks), (len(rngs), 1))
+    rows = np.arange(len(rngs))
+    for i in range(n):
+        j = i + (offsets[:, i] * (total - i)).astype(np.int64)
+        drawn = pool[rows, j]
+        pool[rows, j] = pool[:, i]
+        pool[:, i] = drawn
+    hands = pool[:, :n] - 1 + 52 * rows[:, None]
+    return np.bincount(hands.ravel(), minlength=52 * len(rngs)).reshape(len(rngs), 52)
+
+
+def _multiplicity_rows(counts: np.ndarray) -> np.ndarray:
+    # m_k of each row of per-category counts, in column k (column 0 zero)
+    width = int(counts.max(initial=0)) + 1
+    flat = counts + width * np.arange(len(counts))[:, None]
+    mult = np.bincount(flat.ravel(), minlength=width * len(counts)).reshape(len(counts), width)
+    mult[:, 0] = 0
+    return mult
+
+
+def _sample_multiplicities(spec: GeneratorSpec, rngs: list[np.random.Generator]):
+    """Yield the multiplicity rows (m_k in column k) of the profiles
+    ``sample`` draws from each generator in turn, in blocks: one block
+    for a chunk of card deals, one row at a time for the iid kinds so
+    that no block is wider than one profile's largest count."""
+    if spec.kind == "cards":
+        yield _multiplicity_rows(_deal_counts(spec, rngs))
+        return
+    for rng in rngs:
+        yield _multiplicity_rows(_sample_counts(spec, rng)[None, :])
+
+
 def _profile_from_counts(n: int, counts: np.ndarray) -> CountProfile:
     # counts[i] is the count of label i + 1
-    mult = np.bincount(counts[np.flatnonzero(counts)])
+    mult = _multiplicity_rows(counts[None, :])[0]
     return CountProfile(n, {int(k): int(mult[k]) for k in np.flatnonzero(mult)})
 
 

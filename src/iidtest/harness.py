@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .counts import _is_int
-from .generators import GeneratorSpec, reference_theta, expected_mk, sample
+from .generators import GeneratorSpec, _sample_multiplicities, expected_mk, reference_theta
 from .invariants import (
     Mode,
     PValueMethod,
@@ -30,8 +30,9 @@ from .invariants import (
     TestOptions,
     VarianceSource,
     _check_options,
+    _suite_pvalues,
+    _suite_reads,
     parse_kind,
-    run_test,
 )
 
 __all__ = [
@@ -147,22 +148,42 @@ class ExperimentReport:
 
 def rejection_curve(pvalues: Sequence[float], alpha_grid: Iterable[float]) -> list[float]:
     """Fraction of p-values at or below each grid point."""
-    pvalues = list(pvalues)
-    if not pvalues:
+    ps = np.sort(np.asarray(pvalues, dtype=float))
+    if not ps.size:
         raise ValueError("need at least one p-value")
-    reps = len(pvalues)
-    return [sum(p <= alpha for p in pvalues) / reps for alpha in alpha_grid]
+    grid = np.asarray(list(alpha_grid), dtype=float)
+    return (np.searchsorted(ps, grid, side="right") / ps.size).tolist()
+
+
+# reps per vectorised pass: bounds the per-pass arrays, not the results
+_CHUNK = 1024
 
 
 def _run_range(cfg: ExperimentConfig, start: int, stop: int):
-    rows = []
-    for rep in range(start, stop):
-        rng = np.random.Generator(np.random.Philox(key=(cfg.seed ^ rep) & _MASK64))
-        profile = sample(cfg.generator, rng=rng)
-        u = float(rng.random())
-        ps = tuple(run_test(kind, profile, opts).p for kind, opts in cfg.tests)
-        rows.append((rep, ps, profile.multiplicities, u))
-    return rows
+    """Repetitions start..stop-1: their p-values (one row per label, the
+    control last), the sum of their multiplicity vectors (m_k at index
+    k) and the multiplicity vector of repetition ``start``."""
+    spec = cfg.generator
+    pvalues = np.empty((len(cfg.labels), stop - start))
+    totals = np.zeros(1, dtype=np.int64)
+    first = None
+    for lo in range(start, stop, _CHUNK):
+        hi = min(lo + _CHUNK, stop)
+        rngs = [
+            np.random.Generator(np.random.Philox(key=(cfg.seed ^ rep) & _MASK64))
+            for rep in range(lo, hi)
+        ]
+        reads = []
+        for mult in _sample_multiplicities(spec, rngs):
+            reads.append(_suite_reads(cfg.tests, spec.n, mult))
+            if mult.shape[1] > totals.size:
+                totals = np.pad(totals, (0, mult.shape[1] - totals.size))
+            totals[: mult.shape[1]] += mult.sum(axis=0)
+            if first is None:
+                first = mult[0]
+        pvalues[:-1, lo - start : hi - start] = _suite_pvalues(cfg.tests, spec.n, np.concatenate(reads))
+        pvalues[-1, lo - start : hi - start] = [rng.random() for rng in rngs]
+    return pvalues, totals, first
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -175,42 +196,34 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1 or cfg.reps == 1:
-        rows = _run_range(cfg, 0, cfg.reps)
+        parts = [_run_range(cfg, 0, cfg.reps)]
     else:
         workers = min(workers, cfg.reps)
         chunk = -(-cfg.reps // workers)
         spans = [(lo, min(lo + chunk, cfg.reps)) for lo in range(0, cfg.reps, chunk)]
-        rows = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_range, *zip(*((cfg, lo, hi) for lo, hi in spans))):
-                rows.extend(part)
-    rows.sort(key=lambda r: r[0])
+            parts = list(pool.map(_run_range, *zip(*((cfg, lo, hi) for lo, hi in spans))))
+    table = np.concatenate([ps for ps, _, _ in parts], axis=1)
+    width = max(t.size for _, t, _ in parts)
+    totals = sum(np.pad(t, (0, width - t.size)) for _, t, _ in parts)
+    first = parts[0][2]
 
     labels = cfg.labels
-    per_label: dict[str, list[float]] = {label: [] for label in labels}
-    m_totals: dict[int, int] = {}
-    for _, ps, m, u in rows:
-        for label, p in zip(labels, ps + (u,)):
-            per_label[label].append(p)
-        for k, mk in m.items():
-            m_totals[k] = m_totals.get(k, 0) + mk
-
-    pvalues = {label: tuple(ps) for label, ps in per_label.items()}
+    pvalues = {label: tuple(ps) for label, ps in zip(labels, table.tolist())}
     curves = {}
     headline = {}
-    for label in labels:
-        ps = pvalues[label]
-        fractions = rejection_curve(ps, cfg.alpha_grid)
+    for label, ps in zip(labels, table):
+        *fractions, rate = rejection_curve(ps, cfg.alpha_grid + (cfg.alpha_star,))
         curve = []
         for alpha, frac in zip(cfg.alpha_grid, fractions):
             curve.append((alpha, frac, math.sqrt(frac * (1.0 - frac) / cfg.reps)))
         curves[label] = tuple(curve)
-        rate = sum(p <= cfg.alpha_star for p in ps) / cfg.reps
         headline[label] = (rate, math.sqrt(rate * (1.0 - rate) / cfg.reps))
 
-    sample_m = dict(rows[0][2])
-    avg_m = {k: total / cfg.reps for k, total in sorted(m_totals.items())}
-    k_max = max(m_totals, default=1)
+    sample_m = {int(k): int(first[k]) for k in np.flatnonzero(first)}
+    present = np.flatnonzero(totals)
+    avg_m = {int(k): int(totals[k]) / cfg.reps for k in present}
+    k_max = int(present[-1]) if present.size else 1
     expectation = expected_mk(reference_theta(cfg.generator), cfg.generator.n, k_max)
     expected = {k: float(expectation[k]) for k in range(1, k_max + 1)}
     return ExperimentReport(cfg, pvalues, curves, headline, sample_m, avg_m, expected)
@@ -236,14 +249,14 @@ def emit_report(report: ExperimentReport) -> dict[str, bytes]:
     expectation per k.
     """
     cfg = report.config
-    pbuf = io.StringIO()
-    writer = csv.writer(pbuf, lineterminator="\n")
-    writer.writerow(["rep", "test", "k", "p"])
     labels = cfg.labels
-    for rep in range(cfg.reps):
-        for label in labels:
-            name, k = _label_parts(label)
-            writer.writerow([rep, name, k, _fmt(report.pvalues[label][rep])])
+    # one column of ",test,k,p" cells per label, then interleaved by rep
+    columns = []
+    for label in labels:
+        name, k = _label_parts(label)
+        columns.append([f",{name},{k},{p!r}\n" for p in report.pvalues[label]])
+    rows = (f"{rep}{cell}" for rep, cells in enumerate(zip(*columns)) for cell in cells)
+    pvalues_csv = "rep,test,k,p\n" + "".join(rows)
 
     cbuf = io.StringIO()
     writer = csv.writer(cbuf, lineterminator="\n")
@@ -267,7 +280,7 @@ def emit_report(report: ExperimentReport) -> dict[str, bytes]:
             ]
         )
     return {
-        "pvalues.csv": pbuf.getvalue().encode(),
+        "pvalues.csv": pvalues_csv.encode(),
         "curves.csv": cbuf.getvalue().encode(),
         "mk.csv": mbuf.getvalue().encode(),
     }

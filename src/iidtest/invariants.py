@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from scipy.special import gammaln
+import numpy as np
+from scipy.special import gammaln, log_ndtr
 
 from .counts import CountProfile, _is_int
 from .numerics import log_binomial_pmf, log_cn, log_normal_sf
@@ -116,6 +117,12 @@ FAMILIES: dict[str, Family] = {
 
 _TINY_P = math.ulp(0.0)
 
+# The bound formulas take k through k ln k - ln k! style differences
+# in doubles: beyond 2**53 (where k and k + 1 stop being distinct
+# doubles) they carry no digit of k, from about 2**56 the slope bounds
+# overflow, and near 2**63 gammaln cannot take k + 1 at all.
+_MAX_K = 2**53
+
 
 @dataclass(frozen=True)
 class TestKind:
@@ -123,7 +130,8 @@ class TestKind:
 
     ``family`` is one of even, odd, count, slope, slopelower, curv,
     logcurv; ``k`` is required for all but even/odd (count allows
-    k >= 1, the rest k >= 2).
+    k >= 1, the rest k >= 2) and may be at most 2**53, beyond which the
+    bound formulas cannot be evaluated.
     """
 
     family: str
@@ -141,6 +149,8 @@ class TestKind:
                 raise ValueError(f"{self.family} needs k >= {min_k}")
             if not _is_int(self.k) or self.k < min_k:
                 raise ValueError(f"{self.family} needs integer k >= {min_k}, got {self.k!r}")
+            if self.k > _MAX_K:
+                raise ValueError(f"{self.family} needs k <= 2**53, got {self.k}")
 
     def __str__(self) -> str:
         return self.family if self.k is None else f"{self.family}:{self.k}"
@@ -148,6 +158,8 @@ class TestKind:
 
 def parse_kind(token: str) -> TestKind:
     """Parse a kind token such as ``even`` or ``slope:3``."""
+    if not isinstance(token, str):
+        raise ValueError(f"test kind must be a string such as 'count:2', got {token!r}")
     name, sep, tail = token.strip().partition(":")
     if not sep:
         return TestKind(name)
@@ -561,6 +573,118 @@ def run_test(kind: TestKind, profile: CountProfile, opts: TestOptions | None = N
     else:
         log_p, p = p_value_gaussian(stat, tau, v_ub, n, opts.cn_correction)
     return TestResult(kind, n, stat, tau, v_ub, z, log_p, p, applicable=True, notes=notes)
+
+
+def _suite_columns(tests: Iterable[tuple[TestKind, TestOptions]]) -> list[int]:
+    # the m_j the k-indexed tests read, ascending
+    columns = set()
+    for kind, _ in tests:
+        weights = FAMILIES[kind.family].weights
+        if weights is not None:
+            columns.update(kind.k + off for off in weights)
+        elif kind.k is not None:
+            columns.update((kind.k - 1, kind.k, kind.k + 1))
+    return sorted(columns)
+
+
+def _suite_reads(
+    tests: tuple[tuple[TestKind, TestOptions], ...], n: int, mult: np.ndarray
+) -> np.ndarray:
+    """What a suite reads of profiles of size n, one row per row of
+    ``mult`` (m_k in column k): the m_j of _suite_columns, then for each
+    even or odd test in suite order its sums of j m_j and j^2 m_j over
+    the j that run_test includes. Only these integers are kept, so
+    nothing grows with the largest count."""
+    width = mult.shape[1]
+    zeros = np.zeros(len(mult), dtype=np.int64)
+    out = [mult[:, j] if j < width else zeros for j in _suite_columns(tests)]
+    ks = np.flatnonzero(mult.any(axis=0))
+    for kind, opts in tests:
+        if kind.k is None:
+            keep = (ks % 2 == (kind.family == "odd")) & (ks != 1)
+            if opts.mode is Mode.MULTINOMIAL:
+                keep &= ks != n
+            j = ks[keep]
+            out += [mult[:, j] @ j, mult[:, j] @ (j * j)]
+    return np.stack(out, axis=1)
+
+
+def _math_log(values: np.ndarray) -> np.ndarray:
+    # math.log of each entry; np.log differs from it in the last bit
+    # on some integers
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([math.log(v) for v in distinct.tolist()])[inverse]
+
+
+def _clamped(log_p: np.ndarray) -> list[float]:
+    return [_clamp_p(x) for x in log_p.tolist()]
+
+
+def _suite_pvalues(
+    tests: tuple[tuple[TestKind, TestOptions], ...], n: int, reads: np.ndarray
+) -> np.ndarray:
+    """p-values of each test (rows) on each profile (columns) that
+    _suite_reads summarised, bit-equal to run_test on those profiles.
+
+    Bounds are computed once per call, statistics and variances are
+    exact integer sums, every float operation after them is run_test's
+    in its order, all Gaussian tails go through one log_ndtr call, and
+    exponentials and logarithms are math's, not numpy's.
+    """
+    p = np.ones((len(tests), len(reads)))
+    if n < 2:
+        return p
+    m = dict(zip(_suite_columns(tests), reads.T))
+    sums = iter(reads.T[len(m):])
+    gaussian = []  # (test row, tail columns, z, ln c_n or None)
+    for t, (kind, opts) in enumerate(tests):
+        src = _check_options(kind, opts)
+        tau = bound_mean(kind, n, opts.mode)
+        charge = log_cn(n) if opts.cn_correction else None
+        k = kind.k
+        weights = FAMILIES[kind.family].weights
+        if kind.family == "logcurv":
+            left, center, right = m[k - 1], m[k], m[k + 1]
+            p[t, (center > 0) & (left == 0) & (right == 0)] = _TINY_P
+            live = np.flatnonzero((center > 0) & (left > 0) & (right > 0))
+            left, center, right = left[live], center[live], right[live]
+            logs = _math_log(np.concatenate([left, center, right])).reshape(3, -1)
+            stat = 2.0 * logs[1] - logs[0] - logs[2]
+            z = (stat - tau) / np.sqrt(1.0 / left + 4.0 / center + 1.0 / right)
+            gaussian.append((t, live[z > 0.0], z[z > 0.0], charge))
+            continue
+        if weights is None:
+            stat, var = next(sums), next(sums)
+        else:
+            stat = sum(w * m[k + off] for off, w in weights.items())
+            var = sum(w * w * m[k + off] for off, w in weights.items())
+        stat = stat.astype(float)
+        if src is VarianceSource.THEORETICAL:
+            var = np.full(len(reads), theoretical_variance(kind, n, opts.mode))
+        else:
+            var = var.astype(float)
+        # var = 0 leaves every statistic at 0 <= tau, outside the tail
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = (stat - tau) / np.sqrt(var)
+        tail = np.flatnonzero((stat > tau) & (z > 0.0))
+        if opts.pvalue_method is PValueMethod.BERNSTEIN:
+            gap = stat[tail] - tau
+            b = max(abs(w) for w in weights.values())
+            p[t, tail] = _clamped(-gap * gap / 2.0 / (var[tail] + b * gap / 3.0))
+        else:
+            gaussian.append((t, tail, z[tail], charge))
+    if not gaussian:
+        return p
+    log_p = log_ndtr(-np.concatenate([z for _, _, z, _ in gaussian]))
+    start = 0
+    for t, tail, z, charge in gaussian:
+        lp = log_p[start : start + z.size]
+        start += z.size
+        if charge is not None:
+            lp = lp + charge
+            lp = np.where(lp < 0.0, lp, 0.0)
+        p[t, tail] = _clamped(lp)
+    return p
 
 
 def _combinable(results: Iterable[TestResult], alpha: float | None) -> list[TestResult]:

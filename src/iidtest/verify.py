@@ -19,7 +19,15 @@ import numpy as np
 from scipy.special import gammaln
 
 from .counts import CountProfile
-from .generators import GeneratorSpec, _sample_counts, expected_mk, sample, sample_items
+from .generators import (
+    GeneratorSpec,
+    _deal_counts,
+    _draw_cards,
+    _sample_counts,
+    expected_mk,
+    sample,
+    sample_items,
+)
 from .invariants import Mode, TestKind, bound_mean, statistic
 from .numerics import (
     log_binomial_pmf,
@@ -322,6 +330,20 @@ def _check_sampler_determinism() -> tuple[bool, str]:
                 return False, f"sample differs from its items for {spec} at key {key}"
             if len({rng.random() for rng in rngs}) != 1:
                 return False, f"sample left a different generator state for {spec} at key {key}"
+            cases += 1
+    # cards dealt a chunk at a time: each row and each generator's next
+    # draw must match the one-deal shuffle
+    keys = [907, 2**64 - 1, *range(20)]
+    for decks in (1, 2, 3):
+        for n in (0, 1, 26 * decks + 1, 52 * decks):
+            spec = GeneratorSpec(kind="cards", n=n, decks=decks)
+            rngs = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+            dealt = _deal_counts(spec, rngs)
+            for key, row, rng in zip(keys, dealt, rngs):
+                ref = np.random.Generator(np.random.Philox(key=key))
+                hand = np.bincount(_draw_cards(spec, ref), minlength=53)[1:]
+                if not np.array_equal(row, hand) or rng.random() != ref.random():
+                    return False, f"chunk deal differs from one deal for {spec} at key {key}"
             cases += 1
     return True, f"profiles are a pure function of the spec and match their items ({cases} cases)"
 

@@ -282,6 +282,7 @@ def test_power_malformed_config_exits_one(tmp_path):
         ("options", "cn", "false"),
         ("options", "cn", 1),
         ("test", "cn", "off"),
+        ("test", "kind", 5),
     ],
 )
 def test_power_mistyped_field_exits_one_without_traceback(tmp_path, where, field, value):
@@ -322,6 +323,42 @@ def test_power_option_its_family_cannot_take_exits_one(tmp_path, entry, workers)
     assert proc.stderr.startswith(f"iidtest power: {entry['kind']}:")
     assert proc.stderr.count("\n") == 1
     assert not out.exists()
+
+
+_LARGEST_K = 2**53
+
+
+@pytest.mark.parametrize("k", [_LARGEST_K, _LARGEST_K + 1, 2**63, 99999999999999999999999])
+def test_test_takes_k_up_to_the_largest_the_bounds_can(k):
+    proc = run_cli("test", "-", "--tests", f"even,count:{k}", stdin=DOUBLED)
+    assert "Traceback" not in proc.stderr
+    if k <= _LARGEST_K:
+        assert proc.returncode == 2
+        result = json.loads(proc.stdout)["results"][1]
+        assert result["k"] == k and result["p"] == 1.0
+    else:
+        assert proc.returncode == 1
+        assert proc.stderr == f"iidtest test: count needs k <= 2**53, got {k}\n"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("k", [_LARGEST_K, _LARGEST_K + 1, 2**63])
+def test_power_takes_k_up_to_the_largest_the_bounds_can(tmp_path, k, workers):
+    doc = _power_config(6)
+    doc["tests"] += [f"slope:{k}", f"logcurv:{k}"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    proc = run_cli("power", "--config", str(cfg), "--output", str(out), "--workers", workers)
+    assert "Traceback" not in proc.stderr
+    if k <= _LARGEST_K:
+        assert proc.returncode == 0
+        headline = json.loads(proc.stdout)["headline"]
+        assert headline[f"slope:{k}"] == headline[f"logcurv:{k}"] == [0.0, 0.0]
+    else:
+        assert proc.returncode == 1
+        assert proc.stderr == f"iidtest power: slope needs k <= 2**53, got {k}\n"
+        assert not out.exists()
 
 
 def test_verify_single_suite():

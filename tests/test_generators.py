@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from iidtest.generators import (
     GeneratorSpec,
     _count_iid,
+    _deal_counts,
+    _draw_cards,
     _draw_iid,
     _sample_counts,
+    _sample_multiplicities,
     expected_mk,
     make_theta,
     reference_theta,
@@ -201,6 +204,45 @@ def test_sample_equals_profile_of_sample_items_edge_cases(spec, keep_first_order
     with pytest.raises(ValueError, match="keep_first_order"):
         sample(spec, rng=rng, keep_first_order=True)
     assert rng.random() == _philox(17).random()
+
+
+_KEYS = [0, 1, 2**63, 2**64 - 1, *range(100, 140)]
+
+
+@pytest.mark.parametrize("decks", [1, 2, 3])
+def test_deal_counts_match_draw_cards_rep_by_rep(decks):
+    for n in (0, 1, 13, 26 * decks + 1, 52 * decks - 1, 52 * decks):
+        spec = GeneratorSpec("cards", n=n, decks=decks)
+        rngs = [_philox(key) for key in _KEYS]
+        counts = _deal_counts(spec, rngs)
+        assert counts.shape == (len(_KEYS), 52)
+        for key, row, rng in zip(_KEYS, counts.tolist(), rngs):
+            ref = _philox(key)
+            assert row == np.bincount(_draw_cards(spec, ref), minlength=53)[1:].tolist()
+            assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GeneratorSpec("cards", n=65, decks=2),
+        GeneratorSpec("cards", n=0),
+        GeneratorSpec("uniform", n=300, d=40),
+        GeneratorSpec("linear", n=0, d=3, corruption="even_m"),
+        GeneratorSpec("uniform", n=500, d=1),
+        GeneratorSpec("linear", n=90, d=30, corruption="no_empty"),
+    ],
+)
+def test_sample_multiplicities_match_sample(spec):
+    rngs = [_philox(key) for key in _KEYS]
+    rows = [row for block in _sample_multiplicities(spec, rngs) for row in block]
+    assert len(rows) == len(_KEYS)
+    for key, row, rng in zip(_KEYS, rows, rngs):
+        ref = _philox(key)
+        profile = sample(spec, rng=ref)
+        assert row[0] == 0
+        assert {int(k): int(row[k]) for k in np.flatnonzero(row)} == profile.multiplicities
+        assert rng.random() == ref.random()
 
 
 class _FixedUniforms:

@@ -1,13 +1,18 @@
 """Monte Carlo harness: determinism, aggregation, and serialization."""
 
+import csv
+import io
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from iidtest.generators import GeneratorSpec
+from iidtest.generators import GeneratorSpec, expected_mk, reference_theta, sample
 from iidtest.harness import (
     ExperimentConfig,
+    _run_range,
     config_from_json,
     config_to_json,
     emit_report,
@@ -21,6 +26,7 @@ from iidtest.invariants import (
     TestKind,
     TestOptions,
     VarianceSource,
+    run_test,
 )
 
 
@@ -254,3 +260,96 @@ def test_config_document_rejects_bad_json():
         config_from_json("{not json")
     with pytest.raises(ValueError):
         config_from_json("[1, 2]")
+
+
+def _scalar_reference_tables(cfg):
+    # the harness one rep at a time: sample, run_test per member, and
+    # aggregate and write the tables in plain Python
+    reps = cfg.reps
+    pvalues = {label: [] for label in cfg.labels}
+    totals = {}
+    for rep in range(reps):
+        rng = np.random.Generator(np.random.Philox(key=(cfg.seed ^ rep) & (2**64 - 1)))
+        profile = sample(cfg.generator, rng=rng)
+        pvalues["u"].append(float(rng.random()))
+        for label, (kind, opts) in zip(cfg.labels, cfg.tests):
+            pvalues[label].append(run_test(kind, profile, opts).p)
+        for k, mk in profile.multiplicities.items():
+            totals[k] = totals.get(k, 0) + mk
+        if rep == 0:
+            first = profile.multiplicities
+
+    def table(header, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue().encode()
+
+    def parts(label):
+        name, _, k = label.partition(":")
+        return [name, k]
+
+    def stderr(frac):
+        return repr(math.sqrt(frac * (1.0 - frac) / reps))
+
+    curves = []
+    for label in cfg.labels:
+        for alpha in cfg.alpha_grid:
+            frac = sum(p <= alpha for p in pvalues[label]) / reps
+            curves.append(parts(label) + [repr(alpha), repr(frac), stderr(frac)])
+    k_max = max(totals, default=1)
+    expected = expected_mk(reference_theta(cfg.generator), cfg.generator.n, k_max)
+    mk = [
+        [k, first.get(k, 0), repr(totals.get(k, 0) / reps), repr(float(expected[k]))]
+        for k in range(1, k_max + 1)
+    ]
+    return {
+        "pvalues.csv": table(
+            ["rep", "test", "k", "p"],
+            ([rep] + parts(label) + [repr(pvalues[label][rep])] for rep in range(reps) for label in cfg.labels),
+        ),
+        "curves.csv": table(["test", "k", "alpha", "fraction", "stderr"], curves),
+        "mk.csv": table(["k", "sample_m", "avg_m", "expected_m"], mk),
+    }
+
+
+_REFERENCE_CONFIGS = {
+    "cards with a bernstein count:3": {
+        "generator": {"kind": "cards", "n": 65, "decks": 2},
+        "tests": [*(str(kind) for kind in DEFAULT_SUITE), {"kind": "count:3", "pvalue": "bernstein"}],
+    },
+    "uniform with c_n": {
+        "generator": {"kind": "uniform", "n": 1000, "d": 100},
+        "tests": [str(kind) for kind in DEFAULT_SUITE],
+        "options": {"cn": True},
+    },
+    "multinomial linear even_m": {
+        "generator": {"kind": "linear", "n": 200, "d": 40, "corruption": "even_m"},
+        "tests": [*(str(kind) for kind in DEFAULT_SUITE), "count:3", "slopelower:3"],
+        "options": {"mode": "multinomial"},
+    },
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("name", list(_REFERENCE_CONFIGS))
+def test_report_bytes_match_a_scalar_reference(name, workers):
+    doc = {**_REFERENCE_CONFIGS[name], "reps": 400, "seed": 2**64 - 7}
+    cfg = config_from_json(json.dumps(doc))
+    assert emit_report(run_experiment(cfg, workers=workers)) == _scalar_reference_tables(cfg)
+
+
+def test_memory_does_not_grow_with_the_largest_count():
+    # d = 1 puts all n = 1e5 items on one count: a dense reps x n
+    # multiplicity matrix would take 200 * 1e5 * 8 B = 160 MB
+    cfg = suite_config(GeneratorSpec("uniform", n=100_000, d=1), reps=200)
+    tracemalloc.start()
+    try:
+        pvalues, totals, first = _run_range(cfg, 0, cfg.reps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert totals.tolist() == [0] * 100_000 + [200] and first[100_000] == 1
+    assert pvalues.shape == (len(cfg.labels), 200)

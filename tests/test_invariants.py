@@ -1,19 +1,27 @@
 """Test statistics, p-values, run_test dispatch and combination."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
 from iidtest.counts import CountProfile, ingest_items, profile_from_counts
 from iidtest.invariants import (
     DEFAULT_SUITE,
+    FAMILIES,
     Mode,
+    PValueMethod,
     TestKind,
     TestOptions,
     TestResult,
+    VarianceSource,
+    _check_options,
+    _suite_pvalues,
+    _suite_reads,
     bound_mean,
     bound_variance,
     combine_bonferroni,
@@ -445,3 +453,117 @@ def test_results_are_label_and_order_invariant(labels, shuffler, names):
 def test_gaussian_p_monotone_in_statistic(stats):
     ps = [p_value_gaussian(t, 2.0, 3.0)[1] for t in sorted(stats)]
     assert all(a >= b for a, b in zip(ps, ps[1:]))
+
+
+def _suite_members():
+    # every family at small k under every option set it can take
+    kinds = [TestKind(f, k) for f, fam in FAMILIES.items() if fam.min_k for k in range(fam.min_k, 5)]
+    kinds += [TestKind("even"), TestKind("odd")]
+    members = []
+    for kind, mode, cn, src, tail in itertools.product(
+        kinds, Mode, (False, True), VarianceSource, PValueMethod
+    ):
+        opts = TestOptions(mode, cn, src, tail)
+        try:
+            _check_options(kind, opts)
+        except ValueError:
+            continue
+        members.append((kind, opts))
+    return members
+
+
+_MEMBERS = _suite_members()
+
+
+@st.composite
+def _profile_rows(draw, n):
+    # m_k for k >= 2 within n, the rest either singletons or one item
+    m = {}
+    left = n
+    for k in draw(st.lists(st.integers(2, 7), max_size=6)):
+        m[k] = m.get(k, 0) + draw(st.integers(0, left // k))
+        left = n - sum(j * c for j, c in m.items())
+    if left:
+        one = draw(st.booleans())
+        m[left if one else 1] = m.get(left if one else 1, 0) + (1 if one else left)
+    return {k: c for k, c in m.items() if c}
+
+
+def _fixed_rows(n):
+    # all unique (every variance 0), all doubled and tripled (z far past 8,
+    # in log_ndtr's asymptotic branch), one item (k = n drops out of
+    # even/odd in multinomial mode), and every logcurv zero pattern at k <= 3
+    rows = [{1: n}, {n: 1}, {2: n // 2, 1: n % 2}, {3: n // 3, 1: n % 3}]
+    for pattern in itertools.product((0, 1), repeat=4):
+        # m_1..m_4 in {0, 1}, the rest of n on one item
+        m = {k + 1: c for k, c in enumerate(pattern)}
+        rest = n - sum(k * c for k, c in m.items())
+        if rest >= 0:
+            m[rest] = m.get(rest, 0) + 1
+            rows.append(m)
+    if n == 100_000:
+        # 19143 and 9170 are integers whose np.log differs from math.log;
+        # logcurv:3 lands in a tail here (z near 9.4)
+        rows.append({1: 19143, 2: 7000, 3: 9170, 4: 7000, 11347: 1})
+    rows = [{k: c for k, c in row.items() if k and c} for row in rows]
+    return [row for row in rows if sum(k * c for k, c in row.items()) == n]
+
+
+def _dense(rows):
+    width = max((max(row, default=0) for row in rows), default=0) + 1
+    mult = np.zeros((len(rows), width), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for k, c in row.items():
+            mult[i, k] = c
+    return mult
+
+
+def _assert_kernel_matches_run_test(suite, n, rows):
+    profiles = [CountProfile(n, row) for row in rows]
+    try:
+        expected = np.array([[run_test(kind, prof, opts).p for prof in profiles] for kind, opts in suite])
+    except ValueError as exc:
+        # a multinomial bound beyond reach raises whatever the profile
+        with pytest.raises(ValueError, match=str(exc).split(",")[0]):
+            _suite_pvalues(suite, n, _suite_reads(suite, n, _dense(rows)))
+        return
+    # one block for all rows, and one block per row, each as wide as it needs
+    blocks = [_suite_reads(suite, n, _dense(rows))]
+    blocks.append(np.concatenate([_suite_reads(suite, n, _dense([row])) for row in rows]))
+    for reads in blocks:
+        got = _suite_pvalues(suite, n, reads)
+        assert got.tobytes() == expected.tobytes()
+
+
+_SIZES = [0, 1, 2, 3, 4, 9, 40, 200, 5000, 100_000]
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_suite_kernel_matches_run_test_for_every_member(n):
+    for member in _MEMBERS:
+        _assert_kernel_matches_run_test((member,), n, _fixed_rows(n))
+
+
+def test_suite_kernel_matches_run_test_on_random_tails():
+    # m_1..m_6 up to 300 each put many logcurv and linear tests in a
+    # tail at moderate z, where a reordered float operation shows
+    rng = np.random.Generator(np.random.Philox(key=5))
+    n = 10_000
+    rows = []
+    for counts in rng.integers(0, 300, size=(150, 6)).tolist():
+        row = {k + 1: c for k, c in enumerate(counts) if c}
+        rest = n - sum(k * c for k, c in row.items())
+        row[rest] = row.get(rest, 0) + 1
+        rows.append(row)
+    for member in _MEMBERS:
+        _assert_kernel_matches_run_test((member,), n, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_suite_kernel_matches_run_test_bit_for_bit(data):
+    n = data.draw(st.sampled_from(_SIZES))
+    rows = data.draw(st.lists(_profile_rows(n), min_size=1, max_size=8)) + _fixed_rows(n)
+    picks = data.draw(st.lists(st.sampled_from(_MEMBERS), min_size=1, max_size=8))
+    suite = tuple({str(kind): (kind, opts) for kind, opts in picks}.values())
+    _assert_kernel_matches_run_test(suite, n, rows)
