@@ -10,6 +10,7 @@ them. See the README for the command-line surface.
 from .counts import (
     CountProfile,
     ingest_items,
+    ingest_lines,
     profile_from_counts,
     profile_from_json,
     profile_to_json,
@@ -70,6 +71,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CountProfile",
     "ingest_items",
+    "ingest_lines",
     "profile_from_counts",
     "profile_from_json",
     "profile_to_json",

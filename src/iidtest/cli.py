@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .counts import ingest_items, profile_from_json, profile_to_json
+from .counts import ingest_lines, profile_from_json, profile_to_json
 from .generators import GeneratorSpec, sample, sample_items
 from .harness import config_from_json, config_to_json, emit_report, run_experiment
 from .invariants import (
@@ -41,12 +41,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _read_bytes(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    return Path(path).read_bytes()
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -69,11 +63,11 @@ def _options_from_args(args) -> TestOptions:
 
 
 def _cmd_count(args) -> int:
-    data = _read_bytes(args.input)
-    items = data.split(b"\n")
-    if items and items[-1] == b"":
-        items.pop()
-    profile = ingest_items(items, hashed=args.hashed)
+    if args.input == "-":
+        profile = ingest_lines(sys.stdin.buffer, hashed=args.hashed)
+    else:
+        with open(args.input, "rb") as stream:
+            profile = ingest_lines(stream, hashed=args.hashed)
     _write_text(profile_to_json(profile) + "\n", args.output)
     return 0
 

@@ -291,11 +291,11 @@ def expected_mk(theta: np.ndarray, n: int, k_max: int) -> np.ndarray:
     inner = (theta > 0.0) & (theta < 1.0)
     log_t = np.log(theta[inner])
     log_1mt = np.log1p(-theta[inner])
-    ones = int(np.count_nonzero(theta == 1.0))
-    for k in range(1, min(k_max, n) + 1):
-        log_coef = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-        if inner.any():
+    if inner.any():
+        for k in range(1, min(k_max, n) + 1):
+            log_coef = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
             out[k] = math.exp(logsumexp(log_coef + k * log_t + (n - k) * log_1mt))
-        if k == n and ones:
-            out[k] += ones
+    if 1 <= n <= k_max:
+        # a category of mass 1 holds all n draws
+        out[n] += np.count_nonzero(theta == 1.0)
     return out

@@ -328,8 +328,8 @@ def bound_mean(kind: TestKind, n: int, mode: Mode = Mode.POISSON) -> float:
     ln((k+1)/k) sits on the statistic's own log scale) and hold for
     every n; strict validity requires the c_n correction at p-value
     time. Multinomial-mode bounds are exact for the given n and need
-    k < n. count at k=1 and slopelower at k=2 return the vacuous
-    bound n in both modes.
+    k < n and n <= 2**53. count at k=1 and slopelower at k=2 return the
+    vacuous bound n in both modes.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -339,6 +339,9 @@ def bound_mean(kind: TestKind, n: int, mode: Mode = Mode.POISSON) -> float:
     mode = Mode(mode)
     if mode is Mode.MULTINOMIAL and k >= n:
         raise ValueError(f"multinomial bounds require k < n, got k={k}, n={n}")
+    if mode is Mode.MULTINOMIAL and n > _MAX_K:
+        # the log-gamma differences in n cancel to nothing, then overflow
+        raise ValueError(f"multinomial bounds require n <= 2**53, got n={n}")
 
     if mode is Mode.POISSON:
         if fam == "count":

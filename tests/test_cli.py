@@ -49,6 +49,21 @@ def test_count_hashed_mode_matches_plain_multiplicities():
     assert json.loads(hashed.stdout)["m"] == json.loads(plain.stdout)["m"]
 
 
+def test_count_reads_stdin_and_a_file_alike(tmp_path):
+    # verbatim items (\r, NUL, non-UTF-8, empty lines), a line longer
+    # than the 1 MiB read, and no final newline
+    long = b"z" * (3 << 20)
+    data = b"a\r\n\n\xff\x00 b\n\na\r\n" + long + b"\n\xffend"
+    src = tmp_path / "items.bin"
+    src.write_bytes(data)
+    cmd = [sys.executable, "-m", "iidtest", "count"]
+    piped = subprocess.run(cmd, input=data, capture_output=True)
+    filed = subprocess.run([*cmd, str(src)], capture_output=True)
+    assert piped.returncode == filed.returncode == 0
+    assert piped.stdout == filed.stdout
+    assert json.loads(piped.stdout) == {"n": 7, "m": {"1": 3, "2": 2}}
+
+
 def test_missing_input_file_exits_one():
     proc = run_cli("count", "/nonexistent/items.txt")
     assert proc.returncode == 1
@@ -339,6 +354,19 @@ def test_test_takes_k_up_to_the_largest_the_bounds_can(k):
     else:
         assert proc.returncode == 1
         assert proc.stderr == f"iidtest test: count needs k <= 2**53, got {k}\n"
+
+
+@pytest.mark.parametrize("n", [_LARGEST_K, _LARGEST_K + 1, 2**62])
+def test_test_takes_multinomial_n_up_to_2_53(n):
+    doc = json.dumps({"n": n, "m": {str(n): 1}})
+    proc = run_cli("test", "--mode", "multinomial", "--tests", "count:17592186056761", stdin=doc)
+    assert "Traceback" not in proc.stderr
+    if n <= _LARGEST_K:
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["results"][0]["p"] == 1.0
+    else:
+        assert proc.returncode == 1
+        assert proc.stderr == f"iidtest test: multinomial bounds require n <= 2**53, got n={n}\n"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -1,5 +1,6 @@
 """Profile construction, validation and serialization."""
 
+import io
 import json
 import random
 
@@ -8,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from iidtest.counts import (
+    _CHUNK,
     CountProfile,
     ingest_items,
+    ingest_lines,
     profile_from_counts,
     profile_from_json,
     profile_to_json,
@@ -62,6 +65,68 @@ def test_ingest_is_relabeling_invariant(labels):
     renamed = [f"renamed/{x}" for x in labels]
     original = [str(x) for x in labels]
     assert ingest_items(renamed).multiplicities == ingest_items(original).multiplicities
+
+
+class _Trickle(io.RawIOBase):
+    """A binary stream whose reads return 1 to 7 bytes, whatever was
+    asked for, so that items straddle chunk boundaries."""
+
+    def __init__(self, data: bytes, seed: int):
+        self._data = memoryview(data)
+        self._rng = random.Random(seed)
+
+    def readable(self) -> bool:
+        return True
+
+    def read(self, size: int = -1) -> bytes:
+        piece = self._data[: self._rng.randint(1, 7)].tobytes()
+        self._data = self._data[len(piece):]
+        return piece
+
+
+def _split_lines(data: bytes) -> list[bytes]:
+    items = data.split(b"\n")
+    if items[-1] == b"":
+        items.pop()
+    return items
+
+
+_LINE_BYTES = st.lists(st.sampled_from([b"a", b"b", b" ", b"\r", b"\x00", b"\xff"]), max_size=3)
+
+
+@given(
+    st.lists(_LINE_BYTES.map(b"".join), max_size=40),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_ingest_lines_matches_the_split_list(lines, final_newline, seed):
+    data = b"\n".join(lines) + (b"\n" if final_newline and lines else b"")
+    expected = ingest_items(_split_lines(data))
+    assert ingest_lines(_Trickle(data, seed)) == expected
+    with pytest.warns(UserWarning):
+        assert ingest_lines(_Trickle(data, seed), hashed=True) == expected
+
+
+def test_ingest_lines_item_semantics():
+    cases = [
+        (b"", (0, {})),
+        (b"\n", (1, {1: 1})),
+        (b"\n\n", (2, {2: 1})),
+        (b"a\nb\na", (3, {1: 1, 2: 1})),
+        (b"a\r\na\n a\n", (3, {1: 3})),
+        (b"a\r\na\r\n", (2, {2: 1})),
+        (b"\xff\n\xff\n\n", (3, {1: 1, 2: 1})),
+    ]
+    for data, (n, multiplicities) in cases:
+        assert ingest_lines(io.BytesIO(data)) == CountProfile(n, multiplicities)
+
+
+def test_ingest_lines_joins_a_line_longer_than_a_chunk():
+    long = b"x" * (2 * _CHUNK + 3)
+    data = b"a\n" + long + b"\na\n" + long
+    profile = ingest_lines(io.BytesIO(data))
+    assert profile == CountProfile(4, {2: 2})
+    assert profile == ingest_items(_split_lines(data))
 
 
 def test_profile_from_counts_examples():

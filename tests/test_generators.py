@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
 
 from iidtest.generators import (
     GeneratorSpec,
@@ -284,6 +285,42 @@ def test_expected_mk_closed_cases():
 
     with_hole = expected_mk(np.array([0.5, 0.0, 0.5]), 3, 3)
     assert np.nansum(with_hole * np.arange(4)) == pytest.approx(3.0, rel=1e-12)
+
+
+def _expected_mk_loop(theta, n, k_max):
+    # the loop expected_mk ran before it skipped a theta with no mass in (0, 1)
+    out = np.zeros(k_max + 1)
+    out[0] = np.nan
+    inner = (theta > 0.0) & (theta < 1.0)
+    log_t = np.log(theta[inner])
+    log_1mt = np.log1p(-theta[inner])
+    ones = int(np.count_nonzero(theta == 1.0))
+    for k in range(1, min(k_max, n) + 1):
+        log_coef = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        if inner.any():
+            out[k] = math.exp(logsumexp(log_coef + k * log_t + (n - k) * log_1mt))
+        if k == n and ones:
+            out[k] += ones
+    return out
+
+
+def test_expected_mk_point_mass_is_direct():
+    n = 100_000
+    point = expected_mk(np.array([1.0]), n, n)
+    assert np.isnan(point[0])
+    assert not point[1:n].any() and point[n] == 1.0
+    for theta, n, k_max in [
+        ([1.0], 30, 40),
+        ([1.0], 30, 20),
+        ([0.0, 1.0, 0.0], 7, 9),
+        ([0.0, 0.25, 0.0, 0.5, 0.25], 40, 50),
+        ([0.0, 0.25, 0.0, 0.5, 0.25], 40, 10),
+        # within the sum tolerance: a zero, an interior mass and a one together
+        ([1.0, 1e-13, 0.0], 30, 40),
+        ([0.3, 0.7], 0, 3),
+    ]:
+        theta = np.array(theta)
+        assert expected_mk(theta, n, k_max).tobytes() == _expected_mk_loop(theta, n, k_max).tobytes()
 
 
 def test_expected_mk_validation():
