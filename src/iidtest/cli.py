@@ -116,7 +116,7 @@ def _cmd_simulate(args) -> int:
         d=args.d,
         corruption=args.corruption,
         decks=args.decks,
-        seed=args.seed or 0,
+        seed=args.seed,
     )
     if args.emit == "items":
         lines = "\n".join(str(x) for x in sample_items(spec))
@@ -188,7 +188,6 @@ def _cmd_verify(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="iidtest", description=__doc__)
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (u64)")
     common.add_argument("--output", default=None, help="output path (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -218,11 +217,14 @@ def _build_parser() -> _Parser:
                    default="none")
     p.add_argument("--decks", type=int, default=1)
     p.add_argument("--emit", choices=["profile", "items"], default="profile")
+    p.add_argument("--seed", type=int, default=0, help="generator seed (u64)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("power", parents=[common], help="Monte Carlo experiment from a config document")
     p.add_argument("--config", required=True, help="experiment config JSON, - for stdin")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, at most one per usable CPU")
+    p.add_argument("--seed", type=int, default=None, help="experiment seed (u64), replaces the config's")
     p.set_defaults(func=_cmd_power)
 
     p = sub.add_parser("bounds", parents=[common], help="print mean/variance bound tables")

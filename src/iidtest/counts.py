@@ -87,7 +87,12 @@ def _digest(item: bytes) -> bytes:
 
 
 def _as_bytes(item: bytes | str) -> bytes:
-    return item.encode() if isinstance(item, str) else bytes(item)
+    # bytes() of an int would make that many zero bytes
+    if isinstance(item, (bytes, bytearray, memoryview)):
+        return bytes(item)
+    if isinstance(item, str):
+        return item.encode()
+    raise ValueError(f"items must be str or bytes-like, got {type(item).__name__}")
 
 
 def _count(batches: Iterable[Iterable[bytes]], hashed: bool) -> CountProfile:
@@ -113,8 +118,9 @@ def ingest_items(items: Iterable[bytes | str], hashed: bool = False) -> CountPro
     """Reduce a finite stream of items to a count profile.
 
     Each distinct byte string is counted and the per-item counts are
-    folded into multiplicities. Strings are compared as their UTF-8
-    bytes.
+    folded into multiplicities. Items are ``str`` or bytes-like
+    (``bytes``, ``bytearray``, ``memoryview``), strings compared as
+    their UTF-8 bytes; any other item raises ValueError.
 
     With ``hashed=True`` items are keyed by a 128-bit BLAKE2 digest
     instead of being kept verbatim. That caps memory per distinct item

@@ -228,8 +228,8 @@ def _multiplicity_rows(counts: np.ndarray) -> np.ndarray:
 
 
 def _sample_multiplicities(spec: GeneratorSpec, rngs: list[np.random.Generator]):
-    """Yield the multiplicity rows (m_k in column k) of the profiles
-    ``sample`` draws from each generator in turn, in blocks: one block
+    """Yield the multiplicity rows (m_k in column k) of the profiles the
+    spec draws from each generator in turn, in blocks: one block
     for a chunk of card deals, one row at a time for the iid kinds so
     that no block is wider than one profile's largest count."""
     if spec.kind == "cards":
@@ -237,12 +237,6 @@ def _sample_multiplicities(spec: GeneratorSpec, rngs: list[np.random.Generator])
         return
     for rng in rngs:
         yield _multiplicity_rows(_sample_counts(spec, rng)[None, :])
-
-
-def _profile_from_counts(n: int, counts: np.ndarray) -> CountProfile:
-    # counts[i] is the count of label i + 1
-    mult = _multiplicity_rows(counts[None, :])[0]
-    return CountProfile(n, {int(k): int(mult[k]) for k in np.flatnonzero(mult)})
 
 
 def sample(
@@ -254,8 +248,9 @@ def sample(
     """Draw one profile from the spec, deterministically in its seed.
 
     The profile, and the generator state afterwards, equal those of
-    ``sample_items`` with the same generator; iid kinds are counted
-    per category without labelling each item.
+    ``sample_items`` with the same generator. It takes the Monte Carlo
+    harness's path: iid kinds are counted per category without
+    labelling each item, and cards are dealt by the chunk dealer.
 
     ``keep_first_order`` must be False: profiles carry no per-label
     counts. It stays only while the benchmark's traced replay passes
@@ -263,12 +258,8 @@ def sample(
     """
     if keep_first_order:
         raise ValueError("profiles keep no first-order counts; keep_first_order must be False")
-    if spec.kind == "cards":
-        labels = sample_items(spec, rng)
-        return _profile_from_counts(labels.size, np.bincount(labels)[1:])
-    if rng is None:
-        rng = _rng(spec.seed)
-    return _profile_from_counts(spec.n, _sample_counts(spec, rng))
+    [mult] = _sample_multiplicities(spec, [_rng(spec.seed) if rng is None else rng])
+    return CountProfile(spec.n, {int(k): int(mult[0, k]) for k in np.flatnonzero(mult[0])})
 
 
 def expected_mk(theta: np.ndarray, n: int, k_max: int) -> np.ndarray:

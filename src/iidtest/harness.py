@@ -15,20 +15,19 @@ import csv
 import io
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .counts import _is_int
-from .generators import GeneratorSpec, _sample_multiplicities, expected_mk, reference_theta
+from .generators import GeneratorSpec, _rng, _sample_multiplicities, expected_mk, reference_theta
 from .invariants import (
-    Mode,
-    PValueMethod,
     TestKind,
     TestOptions,
-    VarianceSource,
     _check_options,
     _suite_pvalues,
     _suite_reads,
@@ -44,8 +43,6 @@ __all__ = [
     "config_to_json",
     "config_from_json",
 ]
-
-_MASK64 = (1 << 64) - 1
 
 _DEFAULT_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
 
@@ -169,10 +166,7 @@ def _run_range(cfg: ExperimentConfig, start: int, stop: int):
     first = None
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
-        rngs = [
-            np.random.Generator(np.random.Philox(key=(cfg.seed ^ rep) & _MASK64))
-            for rep in range(lo, hi)
-        ]
+        rngs = [_rng(cfg.seed ^ rep) for rep in range(lo, hi)]
         reads = []
         for mult in _sample_multiplicities(spec, rngs):
             reads.append(_suite_reads(cfg.tests, spec.n, mult))
@@ -186,19 +180,27 @@ def _run_range(cfg: ExperimentConfig, start: int, stop: int):
     return pvalues, totals, first
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run the experiment; the report is identical for any worker count.
 
     Repetitions are split into contiguous chunks, one per worker, and
     merged back in repetition order before any aggregation, so every
-    floating-point reduction happens in a fixed order.
+    floating-point reduction happens in a fixed order. At most one
+    worker per repetition and per CPU the process may use is started.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or cfg.reps == 1:
+    workers = min(workers, cfg.reps, _usable_cpus())
+    if workers == 1:
         parts = [_run_range(cfg, 0, cfg.reps)]
     else:
-        workers = min(workers, cfg.reps)
         chunk = -(-cfg.reps // workers)
         spans = [(lo, min(lo + chunk, cfg.reps)) for lo in range(0, cfg.reps, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -286,23 +288,28 @@ def emit_report(report: ExperimentReport) -> dict[str, bytes]:
     }
 
 
-_GENERATOR_KEYS = {"kind", "n", "d", "corruption", "decks", "seed"}
 # passed to ExperimentConfig as they are; it checks them
 _PLAIN_KEYS = ("reps", "alpha_grid", "alpha_star", "seed", "assert_validity")
 _CONFIG_KEYS = {"generator", "tests", "options", *_PLAIN_KEYS}
-_OPTION_KEYS = {"mode", "cn", "variance", "pvalue"}
+# JSON key of each TestOptions field, in document order
+_OPTION_FIELDS = {
+    "mode": "mode",
+    "cn": "cn_correction",
+    "variance": "variance_source",
+    "pvalue": "pvalue_method",
+}
 
 
 def _options_from(doc: dict, base: TestOptions) -> TestOptions:
-    extra = set(doc) - _OPTION_KEYS
+    extra = set(doc) - set(_OPTION_FIELDS)
     if extra:
         raise ValueError(f"unknown option fields: {sorted(extra)}")
-    return TestOptions(
-        mode=Mode(doc.get("mode", base.mode)),
-        cn_correction=doc.get("cn", base.cn_correction),
-        variance_source=VarianceSource(doc.get("variance", base.variance_source)),
-        pvalue_method=PValueMethod(doc.get("pvalue", base.pvalue_method)),
-    )
+    return replace(base, **{_OPTION_FIELDS[key]: value for key, value in doc.items()})
+
+
+def _options_to(opts: TestOptions) -> dict:
+    values = {key: getattr(opts, name) for key, name in _OPTION_FIELDS.items()}
+    return {key: v.value if isinstance(v, Enum) else v for key, v in values.items()}
 
 
 def config_from_json(text: str) -> ExperimentConfig:
@@ -329,19 +336,14 @@ def config_from_json(text: str) -> ExperimentConfig:
     gen = doc["generator"]
     if not isinstance(gen, dict):
         raise ValueError("'generator' must be an object")
-    extra = set(gen) - _GENERATOR_KEYS
+    spec_fields = fields(GeneratorSpec)
+    extra = set(gen) - {f.name for f in spec_fields}
     if extra:
         raise ValueError(f"unknown generator fields: {sorted(extra)}")
-    if "kind" not in gen or "n" not in gen:
-        raise ValueError("generator needs 'kind' and 'n'")
-    spec = GeneratorSpec(
-        kind=gen["kind"],
-        n=gen["n"],
-        d=gen.get("d", 0),
-        corruption=gen.get("corruption", "none"),
-        decks=gen.get("decks", 1),
-        seed=gen.get("seed", 0),
-    )
+    missing = [repr(f.name) for f in spec_fields if f.default is MISSING and f.name not in gen]
+    if missing:
+        raise ValueError(f"generator needs {' and '.join(missing)}")
+    spec = GeneratorSpec(**gen)
     base = TestOptions()
     if "options" in doc:
         if not isinstance(doc["options"], dict):
@@ -366,28 +368,10 @@ def config_from_json(text: str) -> ExperimentConfig:
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
     """Config as a JSON-ready dict; inverse of config_from_json."""
-    return {
-        "generator": {
-            "kind": cfg.generator.kind,
-            "n": cfg.generator.n,
-            "d": cfg.generator.d,
-            "corruption": cfg.generator.corruption,
-            "decks": cfg.generator.decks,
-            "seed": cfg.generator.seed,
-        },
-        "tests": [
-            {
-                "kind": str(kind),
-                "mode": opts.mode.value,
-                "cn": opts.cn_correction,
-                "variance": opts.variance_source.value,
-                "pvalue": opts.pvalue_method.value,
-            }
-            for kind, opts in cfg.tests
-        ],
-        "reps": cfg.reps,
-        "alpha_grid": list(cfg.alpha_grid),
-        "alpha_star": cfg.alpha_star,
-        "seed": cfg.seed,
-        "assert_validity": cfg.assert_validity,
+    doc = {
+        "generator": asdict(cfg.generator),
+        "tests": [{"kind": str(kind), **_options_to(opts)} for kind, opts in cfg.tests],
     }
+    doc.update((name, getattr(cfg, name)) for name in _PLAIN_KEYS)
+    doc["alpha_grid"] = list(cfg.alpha_grid)
+    return doc

@@ -28,7 +28,7 @@ from .generators import (
     sample,
     sample_items,
 )
-from .invariants import Mode, TestKind, bound_mean, statistic
+from .invariants import Mode, TestKind, bound_mean, parse_kind, statistic
 from .numerics import (
     log_binomial_pmf,
     log_cn,
@@ -291,16 +291,11 @@ def _check_brute_force_d2() -> tuple[bool, str]:
             if gap > 1e-12:
                 return False, f"expected_mk off by {gap:.2e} at n={n}, theta={theta1:.1f}"
             for token, value in e_t.items():
-                kind = TestKind(*_split(token))
+                kind = parse_kind(token)
                 tau = bound_mean(kind, n, Mode.MULTINOMIAL)
                 if value > tau + 1e-12:
                     return False, f"E[{token}] = {value} exceeds tau_ub = {tau} at n={n}"
     return True, f"enumeration matches expected_mk (max gap {worst_gap:.1e}) and respects bounds"
-
-
-def _split(token: str) -> tuple[str, int | None]:
-    name, sep, k = token.partition(":")
-    return (name, int(k)) if sep else (name, None)
 
 
 def _check_sampler_determinism() -> tuple[bool, str]:

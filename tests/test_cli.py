@@ -137,6 +137,16 @@ def test_test_cn_flag_charges_the_correction():
     assert lp_on - lp_off == pytest.approx(log_cn(1000), rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "args", [["count"], ["test"], ["bounds", "--n", "10"], ["verify", "--suite", "stirling"]]
+)
+def test_seed_is_refused_where_nothing_is_drawn(args):
+    proc = run_cli(*args, "--seed", "1", stdin="")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: iidtest")
+    assert "error: unrecognized arguments: --seed" in proc.stderr
+
+
 def test_simulate_is_reproducible():
     args = ("simulate", "--kind", "uniform", "--n", "50", "--d", "10", "--seed", "42")
     assert run_cli(*args).stdout == run_cli(*args).stdout

@@ -4,6 +4,7 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -44,6 +45,14 @@ def test_ingest_two_heavy_labels():
 
 def test_ingest_treats_strings_as_their_bytes():
     assert ingest_items(["a", b"a", "b"]).multiplicities == {1: 1, 2: 1}
+    assert ingest_items([bytearray(b"a"), memoryview(b"a"), "a"]).multiplicities == {3: 1}
+
+
+@pytest.mark.parametrize("item", [3, np.int64(3), 0, -1, 1.5, None])
+def test_ingest_refuses_items_that_are_neither_text_nor_bytes(item):
+    # bytes(3) would count three zero bytes, bytes(-1) raise another error
+    with pytest.raises(ValueError, match=f"^items must be str or bytes-like, got {type(item).__name__}$"):
+        ingest_items([b"a", item])
 
 
 def test_ingest_hashed_mode_warns_and_preserves_multiplicities():

@@ -193,6 +193,9 @@ def test_sample_equals_profile_of_sample_items_at_scale(kind, corruption):
         GeneratorSpec("uniform", n=2, d=1, corruption="no_unique"),
         GeneratorSpec("uniform", n=5, d=5, corruption="no_empty"),
         GeneratorSpec("cards", n=30, decks=2),
+        GeneratorSpec("cards", n=0),
+        GeneratorSpec("cards", n=1, decks=3),
+        GeneratorSpec("cards", n=104, decks=2),
     ],
 )
 @pytest.mark.parametrize("keep_first_order", [True, False])

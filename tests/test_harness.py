@@ -4,11 +4,13 @@ import csv
 import io
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from iidtest import harness
 from iidtest.generators import GeneratorSpec, expected_mk, reference_theta, sample
 from iidtest.harness import (
     ExperimentConfig,
@@ -111,6 +113,34 @@ def test_worker_count_does_not_change_output():
     serial = emit_report(run_experiment(cfg, workers=1))
     parallel = emit_report(run_experiment(cfg, workers=3))
     assert serial == parallel
+
+
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
+    assert 1 <= harness._usable_cpus() <= os.cpu_count()
+    started = []
+
+    class RecordingPool:
+        # runs the spans in this process; records the pool size asked for
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    cfg = suite_config(GeneratorSpec("uniform", n=60, d=20, seed=5), reps=16, seed=31)
+    capped = emit_report(run_experiment(cfg, workers=5000))
+    assert started == [3]
+    assert capped == emit_report(run_experiment(cfg, workers=1))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert emit_report(run_experiment(cfg, workers=5000)) == capped
+    assert started == [3]
 
 
 def test_workers_must_be_positive():
@@ -218,6 +248,31 @@ def test_config_json_round_trip():
         assert_validity=True,
     )
     assert config_from_json(json.dumps(config_to_json(cfg))) == cfg
+
+
+def test_config_json_bytes_are_pinned():
+    # power's stdout embeds this document, so its key order is output
+    multinomial = TestOptions(mode=Mode.MULTINOMIAL, cn_correction=True)
+    bernstein = TestOptions(
+        variance_source=VarianceSource.THEORETICAL, pvalue_method=PValueMethod.BERNSTEIN
+    )
+    cfg = ExperimentConfig(
+        generator=GeneratorSpec("linear", n=40, d=8, corruption="even_m", seed=3),
+        tests=((TestKind("even"), multinomial), (TestKind("count", 3), bernstein)),
+        reps=50,
+        alpha_grid=(0.01, 0.1),
+        alpha_star=0.01,
+        seed=7,
+        assert_validity=True,
+    )
+    assert json.dumps(config_to_json(cfg)) == (
+        '{"generator": {"kind": "linear", "n": 40, "d": 8, "corruption": "even_m", '
+        '"decks": 1, "seed": 3}, "tests": [{"kind": "even", "mode": "multinomial", '
+        '"cn": true, "variance": "auto", "pvalue": "gaussian"}, {"kind": "count:3", '
+        '"mode": "poisson", "cn": false, "variance": "theoretical", "pvalue": "bernstein"}], '
+        '"reps": 50, "alpha_grid": [0.01, 0.1], "alpha_star": 0.01, "seed": 7, '
+        '"assert_validity": true}'
+    )
 
 
 def test_config_document_option_inheritance():
