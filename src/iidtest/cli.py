@@ -11,14 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .counts import ingest_lines, profile_from_json, profile_to_json
-from .generators import GeneratorSpec, sample, sample_items
+from .generators import _CORRUPTIONS, _KINDS, GeneratorSpec, sample, sample_items
 from .harness import config_from_json, config_to_json, emit_report, run_experiment
 from .invariants import (
+    DEFAULT_SUITE,
     FAMILIES,
     Mode,
+    TestKind,
     TestOptions,
     VarianceSource,
     bound_mean,
@@ -55,11 +58,7 @@ def _write_text(text: str, output: str | None) -> None:
 
 
 def _options_from_args(args) -> TestOptions:
-    return TestOptions(
-        mode=Mode(args.mode),
-        cn_correction=args.cn == "on",
-        variance_source=VarianceSource(args.variance),
-    )
+    return TestOptions(mode=args.mode, cn_correction=args.cn == "on", variance_source=args.variance)
 
 
 def _cmd_count(args) -> int:
@@ -129,8 +128,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_power(args) -> int:
     cfg = config_from_json(_read_text(args.config))
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
     report = run_experiment(cfg, workers=args.workers)
     out_dir = Path(args.output or ".")
@@ -153,23 +150,22 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    families = args.kind.split(",") if args.kind else list(FAMILIES)
+    families = [name.strip() for name in args.kind.split(",")] if args.kind else list(FAMILIES)
     ks = [int(tok) for tok in args.k.split(",")] if args.k else [2]
     mode = Mode(args.mode)
     lines = ["kind,k,n,mode,tau_ub,v_ub_theoretical"]
     for name in families:
-        for k in ks:
-            kind = parse_kind(name if name in ("even", "odd") else f"{name}:{k}")
+        # an unknown name takes a k here so that TestKind names it
+        takes_k = name not in FAMILIES or FAMILIES[name].min_k is not None
+        for k in ks if takes_k else [None]:
+            kind = TestKind(name, k)
             tau = bound_mean(kind, args.n, mode)
             try:
                 v = repr(theoretical_variance(kind, args.n, mode))
             except ValueError:
                 # no weights, or a count bound beyond reach (multinomial k+1 >= n)
                 v = ""
-            k_out = "" if kind.k is None else kind.k
-            lines.append(f"{kind.family},{k_out},{args.n},{mode.value},{tau!r},{v}")
-            if kind.k is None:
-                break
+            lines.append(f"{name},{'' if k is None else k},{args.n},{mode.value},{tau!r},{v}")
     _write_text("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -198,23 +194,22 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("test", parents=[common], help="run a test suite on a profile document")
     p.add_argument("input", nargs="?", default="-", help="profile JSON, - for stdin")
-    p.add_argument("--tests", default="even,odd,count:2,slope:2,curv:2,logcurv:2",
-                   help="comma list like even,odd,count:2,slope:2,curv:2,logcurv:2")
-    p.add_argument("--mode", choices=["poisson", "multinomial"], default="poisson")
+    suite = ",".join(map(str, DEFAULT_SUITE))
+    p.add_argument("--tests", default=suite, help=f"comma list like {suite}")
+    p.add_argument("--mode", choices=[m.value for m in Mode], default="poisson")
     p.add_argument("--cn", choices=["on", "off"], default="off",
                    help="charge the poissonization factor c_n against significance")
-    p.add_argument("--variance", choices=["auto", "empirical", "theoretical"], default="auto")
+    p.add_argument("--variance", choices=[v.value for v in VarianceSource], default="auto")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--no-correction", action="store_true",
                    help="per-test decisions at raw alpha instead of Bonferroni")
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("simulate", parents=[common], help="draw synthetic data")
-    p.add_argument("--kind", choices=["uniform", "linear", "cards"], required=True)
+    p.add_argument("--kind", choices=_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=0, help="categories (uniform/linear)")
-    p.add_argument("--corruption", choices=["none", "even_n", "even_m", "no_empty", "no_unique"],
-                   default="none")
+    p.add_argument("--corruption", choices=_CORRUPTIONS, default="none")
     p.add_argument("--decks", type=int, default=1)
     p.add_argument("--emit", choices=["profile", "items"], default="profile")
     p.add_argument("--seed", type=int, default=0, help="generator seed (u64)")
@@ -231,7 +226,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", default=None, help="comma list of families (default: all)")
     p.add_argument("--k", default=None, help="comma list of k values (default: 2)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=["poisson", "multinomial"], default="poisson")
+    p.add_argument("--mode", choices=[m.value for m in Mode], default="poisson")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("verify", parents=[common], help="run numeric verification suites")

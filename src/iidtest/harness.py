@@ -11,8 +11,6 @@ bugs rather than test failures.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -214,13 +212,15 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     pvalues = {label: tuple(ps) for label, ps in zip(labels, table.tolist())}
     curves = {}
     headline = {}
+    alphas = cfg.alpha_grid + (cfg.alpha_star,)
     for label, ps in zip(labels, table):
-        *fractions, rate = rejection_curve(ps, cfg.alpha_grid + (cfg.alpha_star,))
-        curve = []
-        for alpha, frac in zip(cfg.alpha_grid, fractions):
-            curve.append((alpha, frac, math.sqrt(frac * (1.0 - frac) / cfg.reps)))
+        # (alpha, rejection rate, its binomial standard error), alpha_star last
+        *curve, (_, rate, stderr) = [
+            (alpha, frac, math.sqrt(frac * (1.0 - frac) / cfg.reps))
+            for alpha, frac in zip(alphas, rejection_curve(ps, alphas))
+        ]
         curves[label] = tuple(curve)
-        headline[label] = (rate, math.sqrt(rate * (1.0 - rate) / cfg.reps))
+        headline[label] = (rate, stderr)
 
     sample_m = {int(k): int(first[k]) for k in np.flatnonzero(first)}
     present = np.flatnonzero(totals)
@@ -231,15 +231,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     return ExperimentReport(cfg, pvalues, curves, headline, sample_m, avg_m, expected)
 
 
-def _label_parts(label: str) -> tuple[str, str]:
-    name, sep, k = label.partition(":")
-    return name, k if sep else ""
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def emit_report(report: ExperimentReport) -> dict[str, bytes]:
     """Serialize a report to three named CSV tables.
 
@@ -248,43 +239,29 @@ def emit_report(report: ExperimentReport) -> dict[str, bytes]:
     curves.csv holds the rejection curves (header exactly
     ``test,k,alpha,fraction,stderr``). mk.csv compares the first
     sampled profile, the Monte Carlo average and the exact iid
-    expectation per k.
+    expectation per k. Floats are written with repr.
     """
-    cfg = report.config
-    labels = cfg.labels
+    # the "test,k" cells of each label, the control's last
+    keys = [f"{kind.family},{'' if kind.k is None else kind.k}" for kind, _ in report.config.tests]
+    keyed = list(zip(keys + ["u,"], report.config.labels))
     # one column of ",test,k,p" cells per label, then interleaved by rep
-    columns = []
-    for label in labels:
-        name, k = _label_parts(label)
-        columns.append([f",{name},{k},{p!r}\n" for p in report.pvalues[label]])
+    columns = [[f",{key},{p!r}\n" for p in report.pvalues[label]] for key, label in keyed]
     rows = (f"{rep}{cell}" for rep, cells in enumerate(zip(*columns)) for cell in cells)
     pvalues_csv = "rep,test,k,p\n" + "".join(rows)
-
-    cbuf = io.StringIO()
-    writer = csv.writer(cbuf, lineterminator="\n")
-    writer.writerow(["test", "k", "alpha", "fraction", "stderr"])
-    for label in labels:
-        name, k = _label_parts(label)
-        for alpha, frac, stderr in report.curves[label]:
-            writer.writerow([name, k, _fmt(alpha), _fmt(frac), _fmt(stderr)])
-
-    mbuf = io.StringIO()
-    writer = csv.writer(mbuf, lineterminator="\n")
-    writer.writerow(["k", "sample_m", "avg_m", "expected_m"])
-    k_max = max(report.expected_m, default=1)
-    for k in range(1, k_max + 1):
-        writer.writerow(
-            [
-                k,
-                report.sample_m.get(k, 0),
-                _fmt(report.avg_m.get(k, 0.0)),
-                _fmt(report.expected_m.get(k, 0.0)),
-            ]
-        )
+    curves_csv = "test,k,alpha,fraction,stderr\n" + "".join(
+        f"{key},{alpha!r},{frac!r},{stderr!r}\n"
+        for key, label in keyed
+        for alpha, frac, stderr in report.curves[label]
+    )
+    sample_m, avg_m, expected_m = report.sample_m, report.avg_m, report.expected_m
+    mk_csv = "k,sample_m,avg_m,expected_m\n" + "".join(
+        f"{k},{sample_m.get(k, 0)},{avg_m.get(k, 0.0)!r},{expected_m.get(k, 0.0)!r}\n"
+        for k in range(1, max(expected_m, default=1) + 1)
+    )
     return {
         "pvalues.csv": pvalues_csv.encode(),
-        "curves.csv": cbuf.getvalue().encode(),
-        "mk.csv": mbuf.getvalue().encode(),
+        "curves.csv": curves_csv.encode(),
+        "mk.csv": mk_csv.encode(),
     }
 
 

@@ -262,12 +262,12 @@ class CombinedResult:
     reject: bool | None = None
 
 
-def _included_k(odd: bool, m: dict, n: int, mode: Mode) -> list[int]:
+def _included_k(odd: bool, ks: Iterable[int], n: int, mode: Mode) -> list[int]:
     # even counts all even k >= 2; odd skips k=1 because every fresh item
     # contributes there; multinomial mode also drops k=n (the all-equal
     # count is pinned by the sample size, not by repetition structure)
     out = []
-    for k in m:
+    for k in ks:
         if k % 2 != odd or k == 1:
             continue
         if mode is Mode.MULTINOMIAL and k == n:
@@ -578,38 +578,43 @@ def run_test(kind: TestKind, profile: CountProfile, opts: TestOptions | None = N
     return TestResult(kind, n, stat, tau, v_ub, z, log_p, p, applicable=True, notes=notes)
 
 
-def _suite_columns(tests: Iterable[tuple[TestKind, TestOptions]]) -> list[int]:
-    # the m_j the k-indexed tests read, ascending
-    columns = set()
-    for kind, _ in tests:
-        weights = FAMILIES[kind.family].weights
-        if weights is not None:
-            columns.update(kind.k + off for off in weights)
-        elif kind.k is not None:
-            columns.update((kind.k - 1, kind.k, kind.k + 1))
-    return sorted(columns)
-
-
 def _suite_reads(
     tests: tuple[tuple[TestKind, TestOptions], ...], n: int, mult: np.ndarray
 ) -> np.ndarray:
     """What a suite reads of profiles of size n, one row per row of
-    ``mult`` (m_k in column k): the m_j of _suite_columns, then for each
-    even or odd test in suite order its sums of j m_j and j^2 m_j over
-    the j that run_test includes. Only these integers are kept, so
-    nothing grows with the largest count."""
-    width = mult.shape[1]
-    zeros = np.zeros(len(mult), dtype=np.int64)
-    out = [mult[:, j] if j < width else zeros for j in _suite_columns(tests)]
+    ``mult`` (m_k in column k): for each test in suite order, logcurv's
+    m_{k-1}, m_k and m_{k+1}, and every other family's exact sums of
+    w m_j and w^2 m_j over the j that run_test reads (w = j for even and
+    odd). The k-indexed reads are one integer product of the m_j up to
+    the largest k + 1 with their weights. Only these integers are kept,
+    so nothing grows with the largest count."""
+    # m_j past the profiles' largest count are 0, and past every k + 1 unread
+    rows = min(mult.shape[1], max((kind.k + 2 for kind, _ in tests if kind.k is not None), default=0))
+    ncols = sum(3 if kind.family == "logcurv" else 2 for kind, _ in tests)
+    weights = np.zeros((rows, ncols), dtype=np.int64)  # read c weighs m_j by weights[j, c]
     ks = np.flatnonzero(mult.any(axis=0))
+    parity = []  # (read column, the j an even or odd test sums over)
+    c = 0
     for kind, opts in tests:
-        if kind.k is None:
-            keep = (ks % 2 == (kind.family == "odd")) & (ks != 1)
-            if opts.mode is Mode.MULTINOMIAL:
-                keep &= ks != n
-            j = ks[keep]
-            out += [mult[:, j] @ j, mult[:, j] @ (j * j)]
-    return np.stack(out, axis=1)
+        k = kind.k
+        if kind.family == "logcurv":
+            for i, j in enumerate((k - 1, k, k + 1)):
+                if j < rows:
+                    weights[j, c + i] = 1
+            c += 3
+            continue
+        if k is None:
+            j = _included_k(kind.family == "odd", ks.tolist(), n, opts.mode)
+            parity.append((c, np.array(j, dtype=np.int64)))
+        else:
+            for off, w in FAMILIES[kind.family].weights.items():
+                if k + off < rows:
+                    weights[k + off, c : c + 2] = w, w * w
+        c += 2
+    reads = mult[:, :rows] @ weights
+    for c, j in parity:
+        reads[:, c], reads[:, c + 1] = mult[:, j] @ j, mult[:, j] @ (j * j)
+    return reads
 
 
 def _math_log(values: np.ndarray) -> np.ndarray:
@@ -637,17 +642,14 @@ def _suite_pvalues(
     p = np.ones((len(tests), len(reads)))
     if n < 2:
         return p
-    m = dict(zip(_suite_columns(tests), reads.T))
-    sums = iter(reads.T[len(m):])
+    columns = iter(reads.T)
     gaussian = []  # (test row, tail columns, z, ln c_n or None)
     for t, (kind, opts) in enumerate(tests):
         src = _check_options(kind, opts)
         tau = bound_mean(kind, n, opts.mode)
         charge = log_cn(n) if opts.cn_correction else None
-        k = kind.k
-        weights = FAMILIES[kind.family].weights
         if kind.family == "logcurv":
-            left, center, right = m[k - 1], m[k], m[k + 1]
+            left, center, right = next(columns), next(columns), next(columns)
             p[t, (center > 0) & (left == 0) & (right == 0)] = _TINY_P
             live = np.flatnonzero((center > 0) & (left > 0) & (right > 0))
             left, center, right = left[live], center[live], right[live]
@@ -656,23 +658,16 @@ def _suite_pvalues(
             z = (stat - tau) / np.sqrt(1.0 / left + 4.0 / center + 1.0 / right)
             gaussian.append((t, live[z > 0.0], z[z > 0.0], charge))
             continue
-        if weights is None:
-            stat, var = next(sums), next(sums)
-        else:
-            stat = sum(w * m[k + off] for off, w in weights.items())
-            var = sum(w * w * m[k + off] for off, w in weights.items())
-        stat = stat.astype(float)
+        stat, var = next(columns).astype(float), next(columns).astype(float)
         if src is VarianceSource.THEORETICAL:
             var = np.full(len(reads), theoretical_variance(kind, n, opts.mode))
-        else:
-            var = var.astype(float)
         # var = 0 leaves every statistic at 0 <= tau, outside the tail
         with np.errstate(divide="ignore", invalid="ignore"):
             z = (stat - tau) / np.sqrt(var)
         tail = np.flatnonzero((stat > tau) & (z > 0.0))
         if opts.pvalue_method is PValueMethod.BERNSTEIN:
             gap = stat[tail] - tau
-            b = max(abs(w) for w in weights.values())
+            b = max(abs(w) for w in FAMILIES[kind.family].weights.values())
             p[t, tail] = _clamped(-gap * gap / 2.0 / (var[tail] + b * gap / 3.0))
         else:
             gaussian.append((t, tail, z[tail], charge))

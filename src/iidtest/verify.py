@@ -9,6 +9,7 @@ the acceptance tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -28,7 +29,7 @@ from .generators import (
     sample,
     sample_items,
 )
-from .invariants import Mode, TestKind, bound_mean, parse_kind, statistic
+from .invariants import FAMILIES, Mode, TestKind, bound_mean, parse_kind, statistic
 from .numerics import (
     log_binomial_pmf,
     log_cn,
@@ -54,22 +55,18 @@ def exact_d2_moments(theta1: float, n: int) -> tuple[np.ndarray, dict[str, float
     """Exhaustive two-category moments: enumerate all 2^n sequences.
 
     Returns exact E[M_k] (array indexed by k, entry 0 unused) and the
-    exact expectation of every linear statistic in multinomial mode at
-    every k the mode admits. Pure enumeration; shares nothing with the
-    closed-form bound code it is used to cross-check.
+    exact expectation in multinomial mode of every family of FAMILIES
+    with weights at every k from its min_k below n, and of even and odd.
+    Pure enumeration; shares nothing with the closed-form bound code it
+    is used to cross-check.
     """
     if not 0.0 < theta1 < 1.0:
         raise ValueError("theta1 must lie strictly in (0, 1)")
     if not 1 <= n <= 16:
         raise ValueError("enumeration is meant for small n")
-    kinds = []
-    for k in range(1, n):
-        kinds.append(TestKind("count", k))
-    for k in range(2, n):
-        kinds.extend(
-            [TestKind("slope", k), TestKind("slopelower", k), TestKind("curv", k)]
-        )
-    kinds.extend([TestKind("even"), TestKind("odd")])
+    linear = [(name, fam.min_k) for name, fam in FAMILIES.items() if fam.weights]
+    kinds = [TestKind(name, k) for name, min_k in linear for k in range(min_k, n)]
+    kinds += [TestKind("even"), TestKind("odd")]
     e_mk = np.zeros(n + 1)
     e_t = {str(kind): 0.0 for kind in kinds}
     for seq in itertools.product((1, 2), repeat=n):
@@ -186,77 +183,55 @@ def _pois(k: int, lam: np.ndarray) -> np.ndarray:
     return np.exp(k * np.log(lam) - lam - gammaln(k + 1))
 
 
-def _check_poisson_envelopes() -> tuple[bool, str]:
-    problems = []
-    for k in range(2, 9):
-        cases = {
-            str(TestKind("count", k)): (
-                lambda lam, k=k: _pois(k, lam) / lam,
-                bound_mean(TestKind("count", k), 1),
-            ),
-            str(TestKind("slope", k)): (
-                lambda lam, k=k: (_pois(k, lam) - _pois(k - 1, lam)) / lam,
-                bound_mean(TestKind("slope", k), 1),
-            ),
-            str(TestKind("slopelower", k)): (
-                lambda lam, k=k: (_pois(k - 1, lam) - _pois(k, lam)) / lam,
-                bound_mean(TestKind("slopelower", k), 1),
-            ),
-            str(TestKind("curv", k)): (
-                lambda lam, k=k: (2 * _pois(k, lam) - _pois(k - 1, lam) - _pois(k + 1, lam)) / lam,
-                bound_mean(TestKind("curv", k), 1),
-            ),
-        }
-        for label, (env, closed) in cases.items():
-            sup = _grid_sup(env, 1e-9, 8.0 * k)
-            if sup > closed * (1.0 + 1e-9):
-                problems.append(f"{label}: sup {sup} exceeds bound {closed}")
-            elif closed > sup * (1.0 + 1e-6):
-                problems.append(f"{label}: bound {closed} loose vs sup {sup}")
-    if problems:
-        return False, "; ".join(problems[:3])
-    return True, "per-item poisson bounds equal their envelope suprema (k=2..8)"
-
-
-def _fbin(k: int, n: int, th: np.ndarray) -> np.ndarray:
+def _fbin(n: int, k: int, th: np.ndarray) -> np.ndarray:
     return np.exp(
         gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
         + k * np.log(th) + (n - k) * np.log1p(-th)
     )
 
 
-def _check_multinomial_envelopes() -> tuple[bool, str]:
+def _check_envelopes(
+    mode: Mode, cases: list[tuple[Callable, int, int, float]], tight: set[str], loose: float, detail: str
+) -> tuple[bool, str]:
+    """At each (mass, n, k, hi) of ``cases``, hold bound_mean at k and n
+    of every family in FAMILIES with weights to the grid supremum over x
+    in (0, hi] of its per-item envelope sum w mass(k + off, x) / x: the
+    bound must dominate it, and for the families in ``tight`` equal it
+    to within the relative ``loose``."""
     problems = []
-    for n in (8, 30, 200):
-        for k in sorted({2, 3, 5, n - 1}):
-            if not 2 <= k < n:
+    for mass, n, k, hi in cases:
+        for name, fam in FAMILIES.items():
+            if fam.weights is None:
                 continue
-            count_env = lambda th, k=k, n=n: _fbin(k, n, th) / th
-            slope_env = lambda th, k=k, n=n: (_fbin(k, n, th) - _fbin(k - 1, n, th)) / th
-            lower_env = lambda th, k=k, n=n: (_fbin(k - 1, n, th) - _fbin(k, n, th)) / th
-            curv_env = lambda th, k=k, n=n: (
-                2 * _fbin(k, n, th) - _fbin(k - 1, n, th) - _fbin(k + 1, n, th)
-            ) / th
-            exact = {
-                "count": (count_env, bound_mean(TestKind("count", k), n, Mode.MULTINOMIAL)),
-                "slope": (slope_env, bound_mean(TestKind("slope", k), n, Mode.MULTINOMIAL)),
-                "slopelower": (
-                    lower_env,
-                    bound_mean(TestKind("slopelower", k), n, Mode.MULTINOMIAL),
-                ),
-            }
-            for fam, (env, closed) in exact.items():
-                sup = _grid_sup(env, 1e-9, 1.0 - 1e-9)
-                if sup > closed * (1.0 + 1e-9) or closed > sup * (1.0 + 1e-5):
-                    problems.append(f"{fam}:{k} n={n}: bound {closed} vs sup {sup}")
-            curv_closed = bound_mean(TestKind("curv", k), n, Mode.MULTINOMIAL)
-            curv_sup = _grid_sup(curv_env, 1e-9, 1.0 - 1e-9)
-            # the curvature bound dominates its envelope without being tight
-            if curv_sup > curv_closed * (1.0 + 1e-9):
-                problems.append(f"curv:{k} n={n}: sup {curv_sup} exceeds bound {curv_closed}")
+            kind = TestKind(name, k)
+            closed = bound_mean(kind, n, mode)
+            envelope = lambda x: sum(w * mass(k + off, x) for off, w in fam.weights.items()) / x
+            sup = _grid_sup(envelope, 1e-9, hi)
+            if sup > closed * (1.0 + 1e-9):
+                problems.append(f"{kind} n={n}: sup {sup} exceeds bound {closed}")
+            elif name in tight and closed > sup * (1.0 + loose):
+                problems.append(f"{kind} n={n}: bound {closed} loose vs sup {sup}")
     if problems:
         return False, "; ".join(problems[:3])
-    return True, "multinomial bounds match (count/slope) or dominate (curv) envelope suprema"
+    return True, detail
+
+
+def _check_poisson_envelopes() -> tuple[bool, str]:
+    cases = [(_pois, 1, k, 8.0 * k) for k in range(2, 9)]
+    detail = "per-item poisson bounds equal their envelope suprema (k=2..8)"
+    return _check_envelopes(Mode.POISSON, cases, set(FAMILIES), 1e-6, detail)
+
+
+def _check_multinomial_envelopes() -> tuple[bool, str]:
+    cases = [
+        (functools.partial(_fbin, n), n, k, 1.0 - 1e-9)
+        for n in (8, 30, 200)
+        for k in sorted({2, 3, 5, n - 1})
+    ]
+    # the curvature bound dominates its envelope without being tight
+    tight = set(FAMILIES) - {"curv"}
+    detail = "multinomial bounds match (count/slope) or dominate (curv) envelope suprema"
+    return _check_envelopes(Mode.MULTINOMIAL, cases, tight, 1e-5, detail)
 
 
 def _check_even_odd_envelopes() -> tuple[bool, str]:

@@ -9,7 +9,16 @@ from scipy.special import gammaln
 
 from iidtest.counts import CountProfile
 from iidtest.generators import expected_mk
-from iidtest.invariants import Mode, TestKind, TestOptions, bound_mean, bound_variance
+from iidtest.invariants import (
+    FAMILIES,
+    Family,
+    Mode,
+    TestKind,
+    TestOptions,
+    bound_mean,
+    bound_variance,
+)
+from iidtest.verify import run_checks
 
 # per-unit-n Poisson-mode bounds, frozen from an independent
 # high-precision evaluation of the defining formulas
@@ -148,6 +157,17 @@ def test_multinomial_curvature_bound_dominates_envelope():
         closed = bound_mean(TestKind("curv", k), n, Mode.MULTINOMIAL)
         assert sup <= closed * (1.0 + 1e-9)
         assert closed <= 2.0 * sup
+
+
+def test_verify_envelope_suites_read_the_family_table(monkeypatch):
+    # the envelopes take their weights from FAMILIES, so a wrong weight
+    # no longer matches the closed-form bound of its family
+    suites = ["poisson-envelopes", "multinomial-envelopes"]
+    assert [r.ok for r in run_checks(suites)] == [True, True]
+    monkeypatch.setitem(FAMILIES, "slope", Family.linear({0: 1, -1: -2}))
+    results = run_checks(suites)
+    assert [r.ok for r in results] == [False, False]
+    assert all(r.detail.startswith("slope:2 n=") for r in results)
 
 
 def test_modes_agree_to_five_percent_for_large_n():

@@ -203,6 +203,16 @@ def test_bounds_default_table_covers_all_families():
     assert float(by_family["curv"][5]) > 0.0
 
 
+def test_bounds_strips_family_names():
+    # each name is stripped, as --tests tokens are, so even keeps taking no k
+    args = ("--k", "2,3", "--n", "100")
+    plain = run_cli("bounds", "--kind", "count,even,curv", *args)
+    assert plain.returncode == 0
+    for spaced in ("count, even, curv", " count,even ,curv ", "count,\teven\n,curv"):
+        proc = run_cli("bounds", "--kind", spaced, *args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, plain.stdout, "")
+
+
 def test_bounds_multinomial_mode_logcurv():
     proc = run_cli("bounds", "--kind", "logcurv", "--k", "2", "--n", "100", "--mode", "multinomial")
     tau = float(proc.stdout.splitlines()[1].split(",")[4])
