@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (and, for ``test``, no rejection), 2 rejection
 of the iid hypothesis at the requested level, 1 anything malformed
-(unknown flags, unreadable input, invalid profile or config). Machine
-readable output goes to stdout only; diagnostics go to stderr.
+(unknown flags, unreadable input, invalid profile or config) or too
+large to allocate. Machine readable output goes to stdout only;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -243,6 +244,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"iidtest {args.command}: {exc}", file=sys.stderr)
+        return _USAGE_EXIT
+    except MemoryError as exc:
+        print(f"iidtest {args.command}: out of memory: {exc}", file=sys.stderr)
         return _USAGE_EXIT
 
 

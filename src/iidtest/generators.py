@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -125,6 +126,23 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
+def _rekeyed(seeds: Iterable[int]) -> Iterator[np.random.Generator]:
+    """Yield one generator once per seed, re-keyed in place each time so
+    that it draws exactly what a fresh ``_rng(seed)`` would, whatever
+    was drawn from it before; it is stale once the next one is taken.
+
+    Assigning a fresh generator's state with only the key changed
+    (counter 0, empty buffer, no pending 32-bit half) costs a sixth of
+    building a generator."""
+    bitgen = np.random.Philox(key=0)
+    fresh = bitgen.state
+    rng = np.random.Generator(bitgen)
+    for seed in seeds:
+        fresh["state"]["key"][0] = seed & _MASK64
+        bitgen.state = fresh
+        yield rng
+
+
 def _draw_iid(theta: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
     cum = np.cumsum(theta)
     cum[-1] = 1.0
@@ -146,8 +164,7 @@ def sample_items(spec: GeneratorSpec, rng: np.random.Generator | None = None) ->
     """The raw item sequence (integer labels) a spec generates.
 
     Mostly useful for emitting data streams; the tests only ever see
-    the profile. Passing an explicit generator bypasses the spec seed
-    (the Monte Carlo harness does this with per-repetition keys).
+    the profile. Passing an explicit generator bypasses the spec seed.
     """
     if rng is None:
         rng = _rng(spec.seed)
@@ -198,24 +215,24 @@ def _sample_counts(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
     return _count_iid(theta, spec.n - 2 * d, rng) + 2
 
 
-def _deal_counts(spec: GeneratorSpec, rngs: list[np.random.Generator]) -> np.ndarray:
-    """Face counts of the hands _draw_cards deals from each generator,
-    one row per generator and faces 1..52 in columns 0..51.
+def _deal_counts(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
+    """Face counts of the hands _draw_cards deals from each row of the
+    (hands x n) matrix of the n offsets it draws, one row per hand and
+    faces 1..52 in columns 0..51.
 
-    Each generator draws its n offsets as _draw_cards does, so each is
-    left in the same state; the n swap steps then run across all rows
-    at once, with the same float product and truncation per target."""
+    The n swap steps run across all rows at once, with the same float
+    product and truncation per target as _draw_cards."""
     n, total = spec.n, 52 * spec.decks
-    offsets = np.array([rng.random(n) for rng in rngs])
-    pool = np.tile(np.repeat(np.arange(1, 53), spec.decks), (len(rngs), 1))
-    rows = np.arange(len(rngs))
+    hands = len(offsets)
+    pool = np.tile(np.repeat(np.arange(1, 53), spec.decks), (hands, 1))
+    rows = np.arange(hands)
     for i in range(n):
         j = i + (offsets[:, i] * (total - i)).astype(np.int64)
         drawn = pool[rows, j]
         pool[rows, j] = pool[:, i]
         pool[:, i] = drawn
-    hands = pool[:, :n] - 1 + 52 * rows[:, None]
-    return np.bincount(hands.ravel(), minlength=52 * len(rngs)).reshape(len(rngs), 52)
+    dealt = pool[:, :n] - 1 + 52 * rows[:, None]
+    return np.bincount(dealt.ravel(), minlength=52 * hands).reshape(hands, 52)
 
 
 def _multiplicity_rows(counts: np.ndarray) -> np.ndarray:
@@ -227,16 +244,26 @@ def _multiplicity_rows(counts: np.ndarray) -> np.ndarray:
     return mult
 
 
-def _sample_multiplicities(spec: GeneratorSpec, rngs: list[np.random.Generator]):
+def _sample_multiplicities(spec: GeneratorSpec, rngs: Iterable[np.random.Generator]):
     """Yield the multiplicity rows (m_k in column k) of the profiles the
-    spec draws from each generator in turn, in blocks: one block
-    for a chunk of card deals, one row at a time for the iid kinds so
-    that no block is wider than one profile's largest count."""
+    spec draws from each generator in turn, with the uniform each draws
+    right after its profile (the harness's control), in blocks: one
+    block for a chunk of card deals, one row at a time for the iid kinds
+    so that no block is wider than one profile's largest count.
+
+    A generator is done with once the next is taken, so the streams of
+    _rekeyed can be passed."""
     if spec.kind == "cards":
-        yield _multiplicity_rows(_deal_counts(spec, rngs))
+        offsets, follow = [], []
+        for rng in rngs:
+            offsets.append(rng.random(spec.n))
+            follow.append(rng.random())
+        offsets = np.reshape(offsets, (len(follow), spec.n))
+        yield _multiplicity_rows(_deal_counts(spec, offsets)), np.array(follow)
         return
     for rng in rngs:
-        yield _multiplicity_rows(_sample_counts(spec, rng)[None, :])
+        counts = _sample_counts(spec, rng)
+        yield _multiplicity_rows(counts[None, :]), np.array([rng.random()])
 
 
 def sample(
@@ -258,8 +285,14 @@ def sample(
     """
     if keep_first_order:
         raise ValueError("profiles keep no first-order counts; keep_first_order must be False")
-    [mult] = _sample_multiplicities(spec, [_rng(spec.seed) if rng is None else rng])
-    return CountProfile(spec.n, {int(k): int(mult[0, k]) for k in np.flatnonzero(mult[0])})
+    if rng is None:
+        rng = _rng(spec.seed)
+    if spec.kind == "cards":
+        counts = _deal_counts(spec, rng.random((1, spec.n)))[0]
+    else:
+        counts = _sample_counts(spec, rng)
+    [mult] = _multiplicity_rows(counts[None, :])
+    return CountProfile(spec.n, {int(k): int(mult[k]) for k in np.flatnonzero(mult)})
 
 
 def expected_mk(theta: np.ndarray, n: int, k_max: int) -> np.ndarray:

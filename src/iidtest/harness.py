@@ -1,16 +1,19 @@
 """Monte Carlo harness: repeat a generator, run a test suite on every
 draw, and aggregate p-value curves and multiplicity summaries.
 
-Reproducibility discipline: repetition r uses the Philox key
-``seed XOR r``, so results are a pure function of the config and in
-particular independent of how repetitions are distributed over
-workers. A uniform control p-value ("u") is recorded per repetition;
+Reproducibility discipline: repetition r draws exactly the stream of
+a fresh ``Philox(key=(seed XOR r) mod 2**64)``, so results are a pure
+function of the config and in particular independent of how
+repetitions are distributed over workers. Each worker builds one Philox
+and re-keys it before every repetition rather than building one per
+repetition. A uniform control p-value ("u") is recorded per repetition;
 its rejection curve should hug the diagonal, which catches harness
 bugs rather than test failures.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -22,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .counts import _is_int
-from .generators import GeneratorSpec, _rng, _sample_multiplicities, expected_mk, reference_theta
+from .generators import GeneratorSpec, _rekeyed, _sample_multiplicities, expected_mk, reference_theta
 from .invariants import (
     TestKind,
     TestOptions,
@@ -162,19 +165,20 @@ def _run_range(cfg: ExperimentConfig, start: int, stop: int):
     pvalues = np.empty((len(cfg.labels), stop - start))
     totals = np.zeros(1, dtype=np.int64)
     first = None
+    streams = _rekeyed(cfg.seed ^ rep for rep in range(start, stop))
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
-        rngs = [_rng(cfg.seed ^ rep) for rep in range(lo, hi)]
-        reads = []
-        for mult in _sample_multiplicities(spec, rngs):
+        reads, controls = [], []
+        for mult, control in _sample_multiplicities(spec, itertools.islice(streams, hi - lo)):
             reads.append(_suite_reads(cfg.tests, spec.n, mult))
+            controls.append(control)
             if mult.shape[1] > totals.size:
                 totals = np.pad(totals, (0, mult.shape[1] - totals.size))
             totals[: mult.shape[1]] += mult.sum(axis=0)
             if first is None:
                 first = mult[0]
         pvalues[:-1, lo - start : hi - start] = _suite_pvalues(cfg.tests, spec.n, np.concatenate(reads))
-        pvalues[-1, lo - start : hi - start] = [rng.random() for rng in rngs]
+        pvalues[-1, lo - start : hi - start] = np.concatenate(controls)
     return pvalues, totals, first
 
 

@@ -24,6 +24,7 @@ from .generators import (
     GeneratorSpec,
     _deal_counts,
     _draw_cards,
+    _rekeyed,
     _sample_counts,
     expected_mk,
     sample,
@@ -301,21 +302,34 @@ def _check_sampler_determinism() -> tuple[bool, str]:
             if len({rng.random() for rng in rngs}) != 1:
                 return False, f"sample left a different generator state for {spec} at key {key}"
             cases += 1
-    # cards dealt a chunk at a time: each row and each generator's next
-    # draw must match the one-deal shuffle
+    # one generator re-keyed per rep draws what a fresh one keyed alike
+    # does, whatever the rep before left buffered: part of a block of
+    # four words, and the unused half of a word after a 32-bit draw
+    lengths = [*range(10), 65, 66]
+    seeds = [907, 2**64 - 1, -907, 2**64 + 907, *range(2 * len(lengths))]
+    for i, (seed, rng) in enumerate(zip(seeds, _rekeyed(seeds))):
+        ref = np.random.Generator(np.random.Philox(key=seed % 2**64))
+        n = lengths[i % len(lengths)]
+        draws = [np.append(g.random(n), g.integers(2**32, dtype=np.uint32)) for g in (rng, ref)]
+        if not np.array_equal(*draws):
+            return False, f"re-keyed generator differs from a fresh one at seed {seed} after {n} draws"
+        cases += 1
+    # cards dealt a chunk at a time from a matrix of offsets: each row
+    # must match the one-deal shuffle
     keys = [907, 2**64 - 1, *range(20)]
     for decks in (1, 2, 3):
         for n in (0, 1, 26 * decks + 1, 52 * decks):
             spec = GeneratorSpec(kind="cards", n=n, decks=decks)
-            rngs = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
-            dealt = _deal_counts(spec, rngs)
-            for key, row, rng in zip(keys, dealt, rngs):
+            offsets = np.reshape([rng.random(n) for rng in _rekeyed(keys)], (len(keys), n))
+            for key, row in zip(keys, _deal_counts(spec, offsets)):
                 ref = np.random.Generator(np.random.Philox(key=key))
-                hand = np.bincount(_draw_cards(spec, ref), minlength=53)[1:]
-                if not np.array_equal(row, hand) or rng.random() != ref.random():
+                if not np.array_equal(row, np.bincount(_draw_cards(spec, ref), minlength=53)[1:]):
                     return False, f"chunk deal differs from one deal for {spec} at key {key}"
             cases += 1
-    return True, f"profiles are a pure function of the spec and match their items ({cases} cases)"
+    return True, (
+        "profiles are a pure function of the spec and match their items, "
+        f"and re-keyed generators match fresh ones ({cases} cases)"
+    )
 
 
 SUITES: dict[str, Callable[[], tuple[bool, str]]] = {

@@ -337,6 +337,20 @@ def test_power_mistyped_field_exits_one_without_traceback(tmp_path, where, field
     assert field in proc.stderr
 
 
+def test_power_too_large_to_allocate_exits_one(tmp_path):
+    # the p-value table alone would take 2.4e15 bytes, more than a
+    # 2**47-byte address space holds, so no allocator can grant it
+    doc = _power_config(10**14)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    proc = run_cli("power", "--config", str(cfg), "--output", str(out))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("iidtest power: out of memory:") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize(
     "entry",

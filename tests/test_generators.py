@@ -15,6 +15,7 @@ from iidtest.generators import (
     _deal_counts,
     _draw_cards,
     _draw_iid,
+    _rekeyed,
     _sample_counts,
     _sample_multiplicities,
     expected_mk,
@@ -217,13 +218,11 @@ _KEYS = [0, 1, 2**63, 2**64 - 1, *range(100, 140)]
 def test_deal_counts_match_draw_cards_rep_by_rep(decks):
     for n in (0, 1, 13, 26 * decks + 1, 52 * decks - 1, 52 * decks):
         spec = GeneratorSpec("cards", n=n, decks=decks)
-        rngs = [_philox(key) for key in _KEYS]
-        counts = _deal_counts(spec, rngs)
+        offsets = np.reshape([_philox(key).random(n) for key in _KEYS], (len(_KEYS), n))
+        counts = _deal_counts(spec, offsets)
         assert counts.shape == (len(_KEYS), 52)
-        for key, row, rng in zip(_KEYS, counts.tolist(), rngs):
-            ref = _philox(key)
-            assert row == np.bincount(_draw_cards(spec, ref), minlength=53)[1:].tolist()
-            assert rng.random() == ref.random()
+        for key, row in zip(_KEYS, counts.tolist()):
+            assert row == np.bincount(_draw_cards(spec, _philox(key)), minlength=53)[1:].tolist()
 
 
 @pytest.mark.parametrize(
@@ -239,14 +238,62 @@ def test_deal_counts_match_draw_cards_rep_by_rep(decks):
 )
 def test_sample_multiplicities_match_sample(spec):
     rngs = [_philox(key) for key in _KEYS]
-    rows = [row for block in _sample_multiplicities(spec, rngs) for row in block]
-    assert len(rows) == len(_KEYS)
-    for key, row, rng in zip(_KEYS, rows, rngs):
+    for streams in (rngs, _rekeyed(_KEYS)):
+        blocks = list(_sample_multiplicities(spec, streams))
+        rows = [row for block, _ in blocks for row in block]
+        follow = np.concatenate([draws for _, draws in blocks])
+        assert len(rows) == follow.size == len(_KEYS)
+        for key, row, draw in zip(_KEYS, rows, follow):
+            ref = _philox(key)
+            profile = sample(spec, rng=ref)
+            assert row[0] == 0
+            assert {int(k): int(row[k]) for k in np.flatnonzero(row)} == profile.multiplicities
+            assert draw == ref.random()
+    # each generator passed is left where sample_items leaves it, plus one draw
+    for key, rng in zip(_KEYS, rngs):
         ref = _philox(key)
-        profile = sample(spec, rng=ref)
-        assert row[0] == 0
-        assert {int(k): int(row[k]) for k in np.flatnonzero(row)} == profile.multiplicities
+        sample_items(spec, rng=ref)
+        ref.random()
         assert rng.random() == ref.random()
+
+
+_LENGTHS = [*range(10), 65, 66]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), -1), st.integers(2**64, 2**70)),
+            st.sampled_from(_LENGTHS),
+            st.sampled_from(["none", "uint32"]),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_rekeyed_generator_draws_what_a_fresh_one_does(reps):
+    # a rep's draws may end inside a block of four words, or leave half
+    # of one pending after a 32-bit draw: the next rep must not see it
+    seeds = [seed for seed, _, _ in reps]
+    for (seed, length, then), rng in zip(reps, _rekeyed(seeds)):
+        ref = _philox(seed % 2**64)
+        assert np.array_equal(rng.random(length), ref.random(length))
+        assert rng.random() == ref.random()
+        if then == "uint32":
+            assert rng.integers(2**32, dtype=np.uint32) == ref.integers(2**32, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("length", _LENGTHS)
+def test_rekeyed_generator_draws_what_a_fresh_one_does_at_each_length(length):
+    # every rep leaves the next part of a block of four words, or the
+    # unused half of a word after its 32-bit draw, or both
+    seeds = [5, -5, 2**64 + 5, 2**70 - 1, 5]
+    for seed, rng in zip(seeds, _rekeyed(seeds)):
+        ref = _philox(seed % 2**64)
+        assert np.array_equal(rng.random(length), ref.random(length))
+        assert rng.random() == ref.random()
+        assert rng.integers(2**32, dtype=np.uint32) == ref.integers(2**32, dtype=np.uint32)
 
 
 class _FixedUniforms:

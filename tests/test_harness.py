@@ -384,13 +384,24 @@ _REFERENCE_CONFIGS = {
         "tests": [*(str(kind) for kind in DEFAULT_SUITE), "count:3", "slopelower:3"],
         "options": {"mode": "multinomial"},
     },
+    # seed XOR rep is taken mod 2**64 whatever the seed's sign or size
+    "cards with a negative seed": {
+        "generator": {"kind": "cards", "n": 30, "decks": 3},
+        "tests": [str(kind) for kind in DEFAULT_SUITE],
+        "seed": -(2**40) - 3,
+    },
+    "linear with a seed past 2**64": {
+        "generator": {"kind": "linear", "n": 100, "d": 10, "corruption": "no_empty"},
+        "tests": [str(kind) for kind in DEFAULT_SUITE],
+        "seed": 2**64 + 2**63 + 11,
+    },
 }
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("name", list(_REFERENCE_CONFIGS))
 def test_report_bytes_match_a_scalar_reference(name, workers):
-    doc = {**_REFERENCE_CONFIGS[name], "reps": 400, "seed": 2**64 - 7}
+    doc = {"reps": 400, "seed": 2**64 - 7, **_REFERENCE_CONFIGS[name]}
     cfg = config_from_json(json.dumps(doc))
     assert emit_report(run_experiment(cfg, workers=workers)) == _scalar_reference_tables(cfg)
 
