@@ -235,6 +235,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     return ExperimentReport(cfg, pvalues, curves, headline, sample_m, avg_m, expected)
 
 
+def _cells(key: str, ps: Sequence[float]) -> list[str]:
+    # f",{key},{p!r}\n" for each p, formatted once per distinct bit
+    # pattern: 0.0 and -0.0 compare equal but print apart
+    bits, inverse = np.unique(np.asarray(ps, dtype=float).view(np.int64), return_inverse=True)
+    texts = np.array([f",{key},{p!r}\n" for p in bits.view(float).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 def emit_report(report: ExperimentReport) -> dict[str, bytes]:
     """Serialize a report to three named CSV tables.
 
@@ -248,10 +256,16 @@ def emit_report(report: ExperimentReport) -> dict[str, bytes]:
     # the "test,k" cells of each label, the control's last
     keys = [f"{kind.family},{'' if kind.k is None else kind.k}" for kind, _ in report.config.tests]
     keyed = list(zip(keys + ["u,"], report.config.labels))
-    # one column of ",test,k,p" cells per label, then interleaved by rep
-    columns = [[f",{key},{p!r}\n" for p in report.pvalues[label]] for key, label in keyed]
-    rows = (f"{rep}{cell}" for rep, cells in enumerate(zip(*columns)) for cell in cells)
-    pvalues_csv = "rep,test,k,p\n" + "".join(rows)
+    # one flat list of text: slot 2i holds the rep of row i, slot 2i+1
+    # its ",test,k,p" cell; rows run label by label within a rep
+    reps = len(report.pvalues[keyed[0][1]])
+    stride = 2 * len(keyed)
+    parts = ["rep,test,k,p\n"] + [""] * (stride * reps)
+    rep_texts = list(map(str, range(reps)))
+    for i, (key, label) in enumerate(keyed):
+        parts[1 + 2 * i :: stride] = rep_texts
+        parts[2 + 2 * i :: stride] = _cells(key, report.pvalues[label])
+    pvalues_csv = "".join(parts)
     curves_csv = "test,k,alpha,fraction,stderr\n" + "".join(
         f"{key},{alpha!r},{frac!r},{stderr!r}\n"
         for key, label in keyed

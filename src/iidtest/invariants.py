@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr
@@ -617,15 +617,12 @@ def _suite_reads(
     return reads
 
 
-def _math_log(values: np.ndarray) -> np.ndarray:
-    # math.log of each entry; np.log differs from it in the last bit
-    # on some integers
+def _per_distinct(func: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    # func of each entry, called once per distinct entry: for math's
+    # functions, whose last bit numpy's differ from on some inputs.
+    # Entries that compare equal (0.0 and -0.0) must map alike.
     distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([math.log(v) for v in distinct.tolist()])[inverse]
-
-
-def _clamped(log_p: np.ndarray) -> list[float]:
-    return [_clamp_p(x) for x in log_p.tolist()]
+    return np.array([func(v) for v in distinct.tolist()], dtype=float)[inverse]
 
 
 def _suite_pvalues(
@@ -653,7 +650,7 @@ def _suite_pvalues(
             p[t, (center > 0) & (left == 0) & (right == 0)] = _TINY_P
             live = np.flatnonzero((center > 0) & (left > 0) & (right > 0))
             left, center, right = left[live], center[live], right[live]
-            logs = _math_log(np.concatenate([left, center, right])).reshape(3, -1)
+            logs = _per_distinct(math.log, np.concatenate([left, center, right])).reshape(3, -1)
             stat = 2.0 * logs[1] - logs[0] - logs[2]
             z = (stat - tau) / np.sqrt(1.0 / left + 4.0 / center + 1.0 / right)
             gaussian.append((t, live[z > 0.0], z[z > 0.0], charge))
@@ -668,7 +665,7 @@ def _suite_pvalues(
         if opts.pvalue_method is PValueMethod.BERNSTEIN:
             gap = stat[tail] - tau
             b = max(abs(w) for w in FAMILIES[kind.family].weights.values())
-            p[t, tail] = _clamped(-gap * gap / 2.0 / (var[tail] + b * gap / 3.0))
+            p[t, tail] = _per_distinct(_clamp_p, -gap * gap / 2.0 / (var[tail] + b * gap / 3.0))
         else:
             gaussian.append((t, tail, z[tail], charge))
     if not gaussian:
@@ -681,7 +678,7 @@ def _suite_pvalues(
         if charge is not None:
             lp = lp + charge
             lp = np.where(lp < 0.0, lp, 0.0)
-        p[t, tail] = _clamped(lp)
+        p[t, tail] = _per_distinct(_clamp_p, lp)
     return p
 
 

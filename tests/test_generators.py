@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
@@ -15,6 +15,7 @@ from iidtest.generators import (
     _deal_counts,
     _draw_cards,
     _draw_iid,
+    _listed,
     _rekeyed,
     _sample_counts,
     _sample_multiplicities,
@@ -272,16 +273,33 @@ _LENGTHS = [*range(10), 65, 66]
         max_size=8,
     )
 )
+# the top bit of the key word set, and every bit of it
+@example([(2**63, 65, "uint32"), (2**64 - 1, 66, "uint32"), (2**63, 3, "none"), (2**64 - 1, 0, "none")])
 def test_rekeyed_generator_draws_what_a_fresh_one_does(reps):
     # a rep's draws may end inside a block of four words, or leave half
     # of one pending after a 32-bit draw: the next rep must not see it
     seeds = [seed for seed, _, _ in reps]
     for (seed, length, then), rng in zip(reps, _rekeyed(seeds)):
         ref = _philox(seed % 2**64)
+        assert _listed(rng.bit_generator.state) == _listed(ref.bit_generator.state)
         assert np.array_equal(rng.random(length), ref.random(length))
         assert rng.random() == ref.random()
         if then == "uint32":
             assert rng.integers(2**32, dtype=np.uint32) == ref.integers(2**32, dtype=np.uint32)
+
+
+def test_rekey_template_is_a_fresh_state_listed():
+    # the re-key assigns a listed copy of a fresh generator's state: a
+    # field numpy adds to that state must show up here, not be dropped
+    fresh = np.random.Philox(key=0).state
+    listed = _listed(fresh)
+    assert listed.keys() == fresh.keys() and listed["state"].keys() == fresh["state"].keys()
+    for got, want in [(listed, fresh), (listed["state"], fresh["state"])]:
+        for name, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert got[name] == value.tolist() and all(type(word) is int for word in got[name])
+            elif not isinstance(value, dict):
+                assert got[name] == value
 
 
 @pytest.mark.parametrize("length", _LENGTHS)

@@ -14,6 +14,7 @@ from iidtest import harness
 from iidtest.generators import GeneratorSpec, expected_mk, reference_theta, sample
 from iidtest.harness import (
     ExperimentConfig,
+    ExperimentReport,
     _run_range,
     config_from_json,
     config_to_json,
@@ -28,6 +29,7 @@ from iidtest.invariants import (
     TestKind,
     TestOptions,
     VarianceSource,
+    parse_kind,
     run_test,
 )
 
@@ -317,6 +319,25 @@ def test_config_document_rejects_bad_json():
         config_from_json("[1, 2]")
 
 
+def _table(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def _parts(label):
+    name, _, k = label.partition(":")
+    return [name, k]
+
+
+def _reference_pvalues_csv(labels, pvalues):
+    reps = len(pvalues[labels[0]])
+    rows = ([rep] + _parts(label) + [repr(pvalues[label][rep])] for rep in range(reps) for label in labels)
+    return _table(["rep", "test", "k", "p"], rows)
+
+
 def _scalar_reference_tables(cfg):
     # the harness one rep at a time: sample, run_test per member, and
     # aggregate and write the tables in plain Python
@@ -334,17 +355,6 @@ def _scalar_reference_tables(cfg):
         if rep == 0:
             first = profile.multiplicities
 
-    def table(header, rows):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue().encode()
-
-    def parts(label):
-        name, _, k = label.partition(":")
-        return [name, k]
-
     def stderr(frac):
         return repr(math.sqrt(frac * (1.0 - frac) / reps))
 
@@ -352,7 +362,7 @@ def _scalar_reference_tables(cfg):
     for label in cfg.labels:
         for alpha in cfg.alpha_grid:
             frac = sum(p <= alpha for p in pvalues[label]) / reps
-            curves.append(parts(label) + [repr(alpha), repr(frac), stderr(frac)])
+            curves.append(_parts(label) + [repr(alpha), repr(frac), stderr(frac)])
     k_max = max(totals, default=1)
     expected = expected_mk(reference_theta(cfg.generator), cfg.generator.n, k_max)
     mk = [
@@ -360,12 +370,9 @@ def _scalar_reference_tables(cfg):
         for k in range(1, k_max + 1)
     ]
     return {
-        "pvalues.csv": table(
-            ["rep", "test", "k", "p"],
-            ([rep] + parts(label) + [repr(pvalues[label][rep])] for rep in range(reps) for label in cfg.labels),
-        ),
-        "curves.csv": table(["test", "k", "alpha", "fraction", "stderr"], curves),
-        "mk.csv": table(["k", "sample_m", "avg_m", "expected_m"], mk),
+        "pvalues.csv": _reference_pvalues_csv(cfg.labels, pvalues),
+        "curves.csv": _table(["test", "k", "alpha", "fraction", "stderr"], curves),
+        "mk.csv": _table(["k", "sample_m", "avg_m", "expected_m"], mk),
     }
 
 
@@ -404,6 +411,22 @@ def test_report_bytes_match_a_scalar_reference(name, workers):
     doc = {"reps": 400, "seed": 2**64 - 7, **_REFERENCE_CONFIGS[name]}
     cfg = config_from_json(json.dumps(doc))
     assert emit_report(run_experiment(cfg, workers=workers)) == _scalar_reference_tables(cfg)
+
+
+def test_pvalues_csv_gives_each_float_its_own_text():
+    # the writer formats each distinct value once; values that compare
+    # equal but print apart (0.0, -0.0) or never compare equal (nan)
+    # must still print as repr prints each cell
+    cfg = suite_config(GeneratorSpec("uniform", n=10, d=3), reps=7, tests=(parse_kind("even"), parse_kind("count:2")))
+    nan = math.nan
+    pvalues = {
+        "even": (0.25, 0.0, -0.0, 0.25, -0.0, 0.0, 0.25),
+        "count:2": (nan, 5e-324, 1.0, float("nan"), 1.0, 5e-324, nan),
+        "u": (-0.0, 0.1 + 0.2, 0.3, 0.0, 1.0, -0.0, 1.0),
+    }
+    curves = {label: () for label in cfg.labels}
+    report = ExperimentReport(cfg, pvalues, curves, {}, {}, {}, {})
+    assert emit_report(report)["pvalues.csv"] == _reference_pvalues_csv(cfg.labels, pvalues)
 
 
 def test_memory_does_not_grow_with_the_largest_count():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
@@ -19,7 +19,10 @@ from iidtest.invariants import (
     TestOptions,
     TestResult,
     VarianceSource,
+    _TINY_P,
     _check_options,
+    _clamp_p,
+    _per_distinct,
     _suite_pvalues,
     _suite_reads,
     bound_mean,
@@ -567,3 +570,31 @@ def test_suite_kernel_matches_run_test_bit_for_bit(data):
     picks = data.draw(st.lists(st.sampled_from(_MEMBERS), min_size=1, max_size=8))
     suite = tuple({str(kind): (kind, opts) for kind, opts in picks}.values())
     _assert_kernel_matches_run_test(suite, n, rows)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+_LOG_PS = [-0.0, 0.0, -math.inf, math.log(5e-324) - 1.0, -745.2, -3.5, -1e-300, -3.5, -0.0, 0.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(_LOG_PS) | st.floats(max_value=0.0), max_size=40))
+@example(_LOG_PS)
+def test_per_distinct_clamp_matches_clamp_p_entry_by_entry(log_ps):
+    values = np.array(log_ps, dtype=float)
+    assert _bits(_per_distinct(_clamp_p, values)) == _bits([_clamp_p(x) for x in log_ps])
+
+
+def test_per_distinct_matches_math_entry_by_entry():
+    clamped = _per_distinct(_clamp_p, np.array(_LOG_PS))
+    # below ln(5e-324) the p-value underflows to the smallest positive one
+    assert clamped[2] == clamped[3] == _TINY_P and clamped[0] == clamped[1] == 1.0
+    for entries in ([1, 2, 3, 2, 7, 1, 10**6, 3], [0.5, 1e-300, 5e-324, 2.0, 0.5, 3.0]):
+        values = np.array(entries)
+        assert _bits(_per_distinct(math.log, values)) == _bits([math.log(v) for v in entries])
+    assert _per_distinct(math.log, np.array([], dtype=np.int64)).size == 0
+    # 0.0 and -0.0 compare equal; math.log refuses both, and so does the helper
+    with pytest.raises(ValueError):
+        _per_distinct(math.log, np.array([1.0, -0.0, 0.0]))
