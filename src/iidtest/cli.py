@@ -25,10 +25,10 @@ from .invariants import (
     TestKind,
     TestOptions,
     VarianceSource,
+    _run_suite,
     bound_mean,
     combine_bonferroni,
     parse_kind,
-    run_test,
     theoretical_variance,
 )
 from .verify import SUITES, run_checks
@@ -80,7 +80,7 @@ def _cmd_test(args) -> int:
     kinds = [parse_kind(tok) for tok in args.tests.split(",") if tok.strip()]
     if not kinds:
         raise ValueError("empty test list")
-    results = [run_test(kind, profile, opts) for kind in kinds]
+    results = _run_suite(tuple((kind, opts) for kind in kinds), profile)
     if args.no_correction:
         rejected = [r for r in results if r.p <= args.alpha]
         combined = {

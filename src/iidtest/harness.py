@@ -30,8 +30,8 @@ from .invariants import (
     TestKind,
     TestOptions,
     _check_options,
-    _suite_pvalues,
     _suite_reads,
+    _suite_results,
     parse_kind,
 )
 
@@ -166,18 +166,20 @@ def _run_range(cfg: ExperimentConfig, start: int, stop: int):
     totals = np.zeros(1, dtype=np.int64)
     first = None
     streams = _rekeyed(cfg.seed ^ rep for rep in range(start, stop))
+    read = _suite_reads(cfg.tests, spec.n)
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
         reads, controls = [], []
         for mult, control in _sample_multiplicities(spec, itertools.islice(streams, hi - lo)):
-            reads.append(_suite_reads(cfg.tests, spec.n, mult))
+            reads.append(read(mult))
             controls.append(control)
             if mult.shape[1] > totals.size:
                 totals = np.pad(totals, (0, mult.shape[1] - totals.size))
             totals[: mult.shape[1]] += mult.sum(axis=0)
             if first is None:
                 first = mult[0]
-        pvalues[:-1, lo - start : hi - start] = _suite_pvalues(cfg.tests, spec.n, np.concatenate(reads))
+        # p is the last plane of the results
+        pvalues[:-1, lo - start : hi - start] = _suite_results(cfg.tests, spec.n, np.concatenate(reads))[0][-1]
         pvalues[-1, lo - start : hi - start] = np.concatenate(controls)
     return pvalues, totals, first
 

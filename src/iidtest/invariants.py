@@ -262,18 +262,47 @@ class CombinedResult:
     reject: bool | None = None
 
 
-def _included_k(odd: bool, ks: Iterable[int], n: int, mode: Mode) -> list[int]:
-    # even counts all even k >= 2; odd skips k=1 because every fresh item
-    # contributes there; multinomial mode also drops k=n (the all-equal
-    # count is pinned by the sample size, not by repetition structure)
-    out = []
-    for k in ks:
-        if k % 2 != odd or k == 1:
-            continue
-        if mode is Mode.MULTINOMIAL and k == n:
-            continue
-        out.append(k)
-    return out
+def _read_weights(kind: TestKind, mode: Mode, n: int, ks: Iterable[int]) -> list[dict[int, int]]:
+    """What one test reads of a profile of size n whose present counts
+    are ``ks``: one map j -> c per read, the read being sum c m_j.
+    logcurv reads m_{k-1}, m_k and m_{k+1}; every other family reads its
+    statistic and its empirical variance, the sums of w m_j and w^2 m_j
+    over its weights from FAMILIES (w = j over the included j for even
+    and odd)."""
+    k = kind.k
+    if kind.family == "logcurv":
+        return [{k - 1: 1}, {k: 1}, {k + 1: 1}]
+    if k is None:
+        # even sums all even j >= 2; odd skips j = 1, where every fresh
+        # item falls; multinomial mode also drops j = n (the all-equal
+        # count is pinned by the sample size, not by repetition)
+        odd = kind.family == "odd"
+        weights = {j: j for j in ks if j % 2 == odd and j != 1 and not (mode is Mode.MULTINOMIAL and j == n)}
+    else:
+        weights = {k + off: w for off, w in FAMILIES[kind.family].weights.items()}
+    return [weights, {j: w * w for j, w in weights.items()}]
+
+
+def _reads(kind: TestKind, mode: Mode, profile: CountProfile) -> list[float]:
+    """One test's reads of one profile, summed in Python ints over its
+    sparse m (so exact past 2**63) and each converted to float once."""
+    m = profile.multiplicities
+    return [
+        float(sum(c * m.get(j, 0) for j, c in read.items()))
+        for read in _read_weights(kind, mode, profile.n, m)
+    ]
+
+
+def _moments_of(kind: TestKind, profile: CountProfile, mode: Mode) -> list[float]:
+    # the statistic, its empirical variance and v_ub on one profile, for
+    # statistic and bound_variance: the two reads of every family but
+    # logcurv, whose three reads must all be positive
+    reads = _reads(kind, mode, profile)
+    if kind.family != "logcurv":
+        return [reads[0], reads[1], reads[1]]
+    if min(reads) == 0.0:
+        raise ValueError(f"{kind} undefined: m_(k-1), m_k, m_(k+1) = {reads} contain a zero")
+    return [float(x[0]) for x in _log_moments(profile.n, np.array(reads)[:, None])]
 
 
 def statistic(kind: TestKind, profile: CountProfile, mode: Mode = Mode.POISSON) -> float:
@@ -284,21 +313,7 @@ def statistic(kind: TestKind, profile: CountProfile, mode: Mode = Mode.POISSON) 
     it touches is zero; decision-level handling of those profiles lives
     in run_test.
     """
-    m = profile.multiplicities
-    k = kind.k
-    fam = kind.family
-    weights = FAMILIES[fam].weights
-    if weights is not None:
-        return float(sum(w * m.get(k + off, 0) for off, w in weights.items()))
-    if k is None:
-        return float(sum(j * m[j] for j in _included_k(fam == "odd", m, profile.n, mode)))
-    # logcurv
-    mk = (m.get(k - 1, 0), m.get(k, 0), m.get(k + 1, 0))
-    if min(mk) == 0:
-        raise ValueError(
-            f"logcurv:{k} undefined: m_{k-1}, m_{k}, m_{k+1} = {mk} contain a zero"
-        )
-    return 2.0 * math.log(mk[1]) - math.log(mk[0]) - math.log(mk[2])
+    return _moments_of(kind, profile, mode)[0]
 
 
 def _theta_star(k: int, n: int, sign: int) -> float:
@@ -426,29 +441,24 @@ def bound_variance(kind: TestKind, profile: CountProfile, opts: TestOptions | No
     the delta-method variance expressed on the common count scale.
     """
     opts = opts or TestOptions()
-    src = _check_options(kind, opts)
-    m = profile.m
-    n = profile.n
-    k = kind.k
-    if src is VarianceSource.THEORETICAL:
-        return theoretical_variance(kind, n, opts.mode)
-    weights = FAMILIES[kind.family].weights
-    if weights is not None:
-        return float(sum(w * w * m(k + off) for off, w in weights.items()))
-    if k is None:
-        ks = _included_k(kind.family == "odd", profile.multiplicities, n, opts.mode)
-        return float(sum(j * j * profile.multiplicities[j] for j in ks))
-    triple = (m(k - 1), m(k), m(k + 1))
-    if min(triple) == 0:
-        raise ValueError(
-            f"logcurv:{k} variance undefined: multiplicities {triple} contain a zero"
-        )
-    return n * n * (1.0 / triple[0] + 4.0 / triple[1] + 1.0 / triple[2])
+    if _check_options(kind, opts) is VarianceSource.THEORETICAL:
+        return theoretical_variance(kind, profile.n, opts.mode)
+    return _moments_of(kind, profile, opts.mode)[2]
 
 
 def _clamp_p(log_p: float) -> float:
     p = min(1.0, math.exp(log_p))
     return p if p > 0.0 else _TINY_P
+
+
+def _charge(log_p, n: int):
+    # the c_n charge, never above 0: float or array in, array out
+    log_p = log_p + log_cn(n)
+    return np.where(log_p < 0.0, log_p, 0.0)
+
+
+def _bernstein_log_p(gap, v_ub_det, b: int):
+    return -gap * gap / 2.0 / (v_ub_det + b * gap / 3.0)
 
 
 def p_value_gaussian(
@@ -474,7 +484,7 @@ def p_value_gaussian(
     if cn_correction:
         if n is None:
             raise ValueError("cn_correction needs the sample size n")
-        log_p = min(0.0, log_p + log_cn(n))
+        log_p = float(_charge(log_p, n))
     return log_p, _clamp_p(log_p)
 
 
@@ -493,193 +503,195 @@ def p_value_bernstein(
         raise ValueError("bernstein tail needs statistic > tau_ub")
     if v_ub_det <= 0.0:
         raise ValueError(f"v_ub_det must be positive, got {v_ub_det}")
-    log_p = -gap * gap / 2.0 / (v_ub_det + b * gap / 3.0)
+    log_p = _bernstein_log_p(gap, v_ub_det, b)
     return log_p, _clamp_p(log_p)
 
 
-def _not_applicable(kind: TestKind, n: int, tau: float, notes: str) -> TestResult:
-    nan = math.nan
-    return TestResult(kind, n, nan, tau, nan, nan, 0.0, 1.0, applicable=False, notes=notes)
+# status codes of _suite_results, a result being applicable below
+# _SMALL, and the note of each ahead of the bounds used, with logcurv's
+# m_{k-1}, m_k and m_{k+1} as {0}, {1} and {2}
+_OK, _UPPER, _SMALL, _NO_LEFT, _NO_CENTER, _NO_RIGHT = range(6)
+_NOTES = ["", "m_{0} = m_{2} = 0 with m_{1} > 0, statistic at upper limit; ", "",
+          "m_{0} = 0; ", "m_{1} = 0; ", "m_{2} = 0; "]
+# the logcurv status of each pattern of empty reads m_{k-1}, m_k and
+# m_{k+1}, indexed by the sum of their _EMPTY_BITS
+_EMPTY_BITS = np.array([1, 4, 2])
+_LOGCURV_STATUS = np.array([_OK, _NO_LEFT, _NO_RIGHT, _UPPER] + [_NO_CENTER] * 4, dtype=np.int8)
+# the float fields of a result before any test reads the profile
+_UNREAD = np.array([math.nan, math.nan, math.nan, math.nan, 0.0, 1.0])[:, None, None]
 
 
-def _describe(opts: TestOptions, src: VarianceSource) -> str:
-    bits = [f"{opts.mode.value} bounds", f"{src.value} variance"]
+def _note(kind: TestKind, opts: TestOptions, status: int) -> str:
+    if status == _SMALL:
+        return "sample too small (n < 2)"
+    bits = [f"{opts.mode.value} bounds", f"{_check_options(kind, opts).value} variance"]
     if opts.cn_correction:
         bits.append("c_n corrected")
     if opts.pvalue_method is PValueMethod.BERNSTEIN:
         bits.append("bernstein tail")
-    return ", ".join(bits)
-
-
-def _run_logcurv(kind: TestKind, profile: CountProfile, opts: TestOptions, notes: str) -> TestResult:
-    k = kind.k
-    n = profile.n
-    tau = bound_mean(kind, n, opts.mode)
-    center = profile.m(k)
-    left, right = profile.m(k - 1), profile.m(k + 1)
-    if center == 0:
-        return _not_applicable(kind, n, tau, f"m_{k} = 0; " + notes)
-    if left == 0 and right == 0:
-        # both flanks empty while the center is populated: the mass is
-        # concentrated on a single count, the statistic sits at its
-        # upper limit and the test fires at any level. Deliberately
-        # aggressive to keep power against exact duplication; on iid
-        # data at the scales this library targets the event has
-        # negligible probability, though at very small n it can occur
-        # by chance (see README).
-        return TestResult(
-            kind, n, math.inf, tau, math.inf, math.inf, -math.inf, _TINY_P,
-            applicable=True,
-            notes=f"m_{k-1} = m_{k+1} = 0 with m_{k} > 0, statistic at upper limit; " + notes,
-        )
-    if left == 0 or right == 0:
-        which = k - 1 if left == 0 else k + 1
-        return _not_applicable(kind, n, tau, f"m_{which} = 0; " + notes)
-    stat = statistic(kind, profile, opts.mode)
-    var = 1.0 / left + 4.0 / center + 1.0 / right
-    z = (stat - tau) / math.sqrt(var)
-    log_p, p = p_value_gaussian(stat, tau, var, n, opts.cn_correction)
-    return TestResult(kind, n, stat, tau, n * n * var, z, log_p, p, applicable=True, notes=notes)
-
-
-def run_test(kind: TestKind, profile: CountProfile, opts: TestOptions | None = None) -> TestResult:
-    """Evaluate one test on one profile.
-
-    Composes statistic, mean bound, variance bound and tail. The
-    result depends on the profile only through its multiplicities.
-    Profiles with n < 2 make every test inapplicable (p = 1). A
-    statistic at or below its mean bound yields p = 1 (the tests are
-    one-sided; they can never certify iid-ness). See the module
-    docstring for mode and variance semantics.
-    """
-    opts = opts or TestOptions()
-    src = _check_options(kind, opts)
-    n = profile.n
-    if n < 2:
-        return _not_applicable(kind, n, math.nan, "sample too small (n < 2)")
-    notes = _describe(opts, src)
-    if kind.family == "logcurv":
-        return _run_logcurv(kind, profile, opts, notes)
-
-    stat = statistic(kind, profile, opts.mode)
-    tau = bound_mean(kind, n, opts.mode)
-    v_ub = bound_variance(kind, profile, opts)
-    if v_ub > 0.0:
-        z = (stat - tau) / math.sqrt(v_ub)
-    else:
-        z = 0.0 if stat <= tau else math.inf
-    if stat <= tau or not z > 0.0:
-        log_p, p = 0.0, 1.0
-    elif opts.pvalue_method is PValueMethod.BERNSTEIN:
-        b = max(abs(w) for w in FAMILIES[kind.family].weights.values())
-        log_p, p = p_value_bernstein(stat, tau, v_ub, b)
-    else:
-        log_p, p = p_value_gaussian(stat, tau, v_ub, n, opts.cn_correction)
-    return TestResult(kind, n, stat, tau, v_ub, z, log_p, p, applicable=True, notes=notes)
-
-
-def _suite_reads(
-    tests: tuple[tuple[TestKind, TestOptions], ...], n: int, mult: np.ndarray
-) -> np.ndarray:
-    """What a suite reads of profiles of size n, one row per row of
-    ``mult`` (m_k in column k): for each test in suite order, logcurv's
-    m_{k-1}, m_k and m_{k+1}, and every other family's exact sums of
-    w m_j and w^2 m_j over the j that run_test reads (w = j for even and
-    odd). The k-indexed reads are one integer product of the m_j up to
-    the largest k + 1 with their weights. Only these integers are kept,
-    so nothing grows with the largest count."""
-    # m_j past the profiles' largest count are 0, and past every k + 1 unread
-    rows = min(mult.shape[1], max((kind.k + 2 for kind, _ in tests if kind.k is not None), default=0))
-    ncols = sum(3 if kind.family == "logcurv" else 2 for kind, _ in tests)
-    weights = np.zeros((rows, ncols), dtype=np.int64)  # read c weighs m_j by weights[j, c]
-    ks = np.flatnonzero(mult.any(axis=0))
-    parity = []  # (read column, the j an even or odd test sums over)
-    c = 0
-    for kind, opts in tests:
-        k = kind.k
-        if kind.family == "logcurv":
-            for i, j in enumerate((k - 1, k, k + 1)):
-                if j < rows:
-                    weights[j, c + i] = 1
-            c += 3
-            continue
-        if k is None:
-            j = _included_k(kind.family == "odd", ks.tolist(), n, opts.mode)
-            parity.append((c, np.array(j, dtype=np.int64)))
-        else:
-            for off, w in FAMILIES[kind.family].weights.items():
-                if k + off < rows:
-                    weights[k + off, c : c + 2] = w, w * w
-        c += 2
-    reads = mult[:, :rows] @ weights
-    for c, j in parity:
-        reads[:, c], reads[:, c + 1] = mult[:, j] @ j, mult[:, j] @ (j * j)
-    return reads
+    k = kind.k or 0  # even and odd have no k, and no note of one
+    return _NOTES[status].format(k - 1, k, k + 1) + ", ".join(bits)
 
 
 def _per_distinct(func: Callable[[float], float], values: np.ndarray) -> np.ndarray:
     # func of each entry, called once per distinct entry: for math's
     # functions, whose last bit numpy's differ from on some inputs.
-    # Entries that compare equal (0.0 and -0.0) must map alike.
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([func(v) for v in distinct.tolist()], dtype=float)[inverse]
+    # Entries that compare equal (0.0 and -0.0) must map alike. Up to 64
+    # entries are mapped one by one, which costs less than np.unique.
+    flat = values.ravel()
+    if flat.size <= 64:
+        mapped = [func(v) for v in flat.tolist()]
+    else:
+        distinct, inverse = np.unique(flat, return_inverse=True)
+        mapped = np.array([func(v) for v in distinct.tolist()], dtype=float)[inverse]
+    return np.array(mapped, dtype=float).reshape(values.shape)
 
 
-def _suite_pvalues(
-    tests: tuple[tuple[TestKind, TestOptions], ...], n: int, reads: np.ndarray
-) -> np.ndarray:
-    """p-values of each test (rows) on each profile (columns) that
-    _suite_reads summarised, bit-equal to run_test on those profiles.
+def _log_moments(n: int, reads: np.ndarray) -> tuple:
+    """logcurv's statistic, the delta-method variance its z divides by
+    and the v_ub it reports (that variance on the count scale), from its
+    reads m_{k-1}, m_k and m_{k+1} along the first axis, none of them 0.
+    A NaN read gives NaN."""
+    logs = _per_distinct(math.log, reads)
+    var = 1.0 / reads[0] + 4.0 / reads[1] + 1.0 / reads[2]
+    return 2.0 * logs[1] - logs[0] - logs[2], var, float(n * n) * var
 
-    Bounds are computed once per call, statistics and variances are
-    exact integer sums, every float operation after them is run_test's
-    in its order, all Gaussian tails go through one log_ndtr call, and
-    exponentials and logarithms are math's, not numpy's.
+
+def _suite_reads(
+    tests: tuple[tuple[TestKind, TestOptions], ...], n: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """A reader of profiles of size n: it takes a block of multiplicity
+    rows (m_k in column k) and returns the reads of _read_weights for
+    each test in suite order, one row per profile, as exact int64 sums.
+    The k-indexed reads are one integer product of the m_j up to the
+    largest k + 1 with weights set up once; even and odd sum over the
+    counts present in the block. Only these integers are kept, so
+    nothing grows with the largest count."""
+    # no count passes n, and no k-indexed read passes the largest k + 1
+    top = min(n + 1, max((kind.k + 1 for kind, _ in tests if kind.k is not None), default=-1)) + 1
+    weights = np.zeros((top, sum(3 if kind.family == "logcurv" else 2 for kind, _ in tests)), dtype=np.int64)
+    parity = []  # (first read column, kind, mode) of each even or odd test
+    c = 0
+    for kind, opts in tests:
+        if kind.k is None:
+            parity.append((c, kind, opts.mode))
+        for read in _read_weights(kind, opts.mode, n, ()):
+            for j, w in read.items():
+                if j < top:
+                    weights[j, c] = w  # read c weighs m_j by w
+            c += 1
+
+    def read(mult: np.ndarray) -> np.ndarray:
+        # m_j past the profiles' largest count are 0
+        width = min(mult.shape[1], top)
+        out = mult[:, :width] @ weights[:width]
+        if parity:
+            ks = np.flatnonzero(mult.any(axis=0)).tolist()
+        for c, kind, mode in parity:
+            reads = _read_weights(kind, mode, n, ks)
+            w = np.array([list(r.values()) for r in reads], dtype=np.int64).reshape(len(reads), -1)
+            out[:, c : c + len(reads)] = mult[:, list(reads[0])] @ w.T
+        return out
+
+    return read
+
+
+def _suite_results(
+    tests: tuple[tuple[TestKind, TestOptions], ...], n: int, reads
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every TestResult field of each test on each profile of size n
+    that ``reads`` summarises, one row of reads per profile: the float
+    fields statistic, tau_ub, v_ub, z, log_p and p as the planes of a
+    (6, tests, profiles) array, and the (tests, profiles) status codes.
+
+    Each test's options are checked first, even when n < 2. The reads
+    become floats once and each test's bounds are computed once; the
+    tails run over all tests and profiles at once, with one log_ndtr
+    call, and exponentials and logarithms are math's, not numpy's.
     """
-    p = np.ones((len(tests), len(reads)))
-    if n < 2:
-        return p
-    columns = iter(reads.T)
-    gaussian = []  # (test row, tail columns, z, ln c_n or None)
+    reads = np.asarray(reads, dtype=float).T  # one row per read
+    shape = (len(tests), reads.shape[1])
+    values = np.empty((6, *shape))
+    values[:] = _UNREAD
+    stat, tau, v_ub, z, log_p, p = values
+    status = np.zeros(shape, dtype=np.int8)  # _OK
+    var = np.empty(shape)  # what z divides by: v_ub, on the log scale for logcurv
+    charged, ranges = [], []  # per test: the c_n charge, and the Bernstein range or 0
+    c = 0  # the test's first read
     for t, (kind, opts) in enumerate(tests):
         src = _check_options(kind, opts)
-        tau = bound_mean(kind, n, opts.mode)
-        charge = log_cn(n) if opts.cn_correction else None
-        if kind.family == "logcurv":
-            left, center, right = next(columns), next(columns), next(columns)
-            p[t, (center > 0) & (left == 0) & (right == 0)] = _TINY_P
-            live = np.flatnonzero((center > 0) & (left > 0) & (right > 0))
-            left, center, right = left[live], center[live], right[live]
-            logs = _per_distinct(math.log, np.concatenate([left, center, right])).reshape(3, -1)
-            stat = 2.0 * logs[1] - logs[0] - logs[2]
-            z = (stat - tau) / np.sqrt(1.0 / left + 4.0 / center + 1.0 / right)
-            gaussian.append((t, live[z > 0.0], z[z > 0.0], charge))
+        if n < 2:
+            status[t] = _SMALL
             continue
-        stat, var = next(columns).astype(float), next(columns).astype(float)
-        if src is VarianceSource.THEORETICAL:
-            var = np.full(len(reads), theoretical_variance(kind, n, opts.mode))
-        # var = 0 leaves every statistic at 0 <= tau, outside the tail
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = (stat - tau) / np.sqrt(var)
-        tail = np.flatnonzero((stat > tau) & (z > 0.0))
-        if opts.pvalue_method is PValueMethod.BERNSTEIN:
-            gap = stat[tail] - tau
-            b = max(abs(w) for w in FAMILIES[kind.family].weights.values())
-            p[t, tail] = _per_distinct(_clamp_p, -gap * gap / 2.0 / (var[tail] + b * gap / 3.0))
-        else:
-            gaussian.append((t, tail, z[tail], charge))
-    if not gaussian:
-        return p
-    log_p = log_ndtr(-np.concatenate([z for _, _, z, _ in gaussian]))
-    start = 0
-    for t, tail, z, charge in gaussian:
-        lp = log_p[start : start + z.size]
-        start += z.size
-        if charge is not None:
-            lp = lp + charge
-            lp = np.where(lp < 0.0, lp, 0.0)
-        p[t, tail] = _per_distinct(_clamp_p, lp)
-    return p
+        tau[t] = bound_mean(kind, n, opts.mode)
+        charged.append(opts.cn_correction)
+        bernstein = opts.pvalue_method is PValueMethod.BERNSTEIN
+        ranges.append(max(abs(w) for w in FAMILIES[kind.family].weights.values()) if bernstein else 0)
+        if kind.family != "logcurv":
+            stat[t], var[t] = reads[c : c + 2]
+            c += 2
+            if src is VarianceSource.THEORETICAL:
+                var[t] = theoretical_variance(kind, n, opts.mode)
+            v_ub[t] = var[t]
+            continue
+        block = reads[c : c + 3]
+        c += 3
+        empty = block == 0.0
+        status[t] = _LOGCURV_STATUS[_EMPTY_BITS @ empty]
+        # an empty read gives NaN moments, which no tail takes
+        stat[t], var[t], v_ub[t] = _log_moments(n, np.where(empty, math.nan, block))
+        # The zero rule: with both flanks empty and the center not, the
+        # statistic is at its upper limit, inf with nothing to divide by,
+        # so z is inf and p the smallest, a rejection at any level. It is
+        # not rare on iid data: on uniform n=1000, d=100 it fires in 1 rep
+        # in 10 (README "The logcurv zero rule", ROADMAP item 1).
+        upper = status[t] == _UPPER
+        stat[t, upper], var[t, upper], v_ub[t, upper] = math.inf, 0.0, math.inf
+    if n < 2:
+        return values, status
+    np.divide(stat - tau, np.sqrt(var), out=z, where=var > 0.0)
+    # a zero variance puts z at 0 for a statistic at or below its bound
+    # and at inf above it
+    np.copyto(z, np.where(stat <= tau, 0.0, math.inf), where=var == 0.0)
+    # z > 0 exactly when the statistic is above its bound by an excess
+    # that survives the division
+    tail = gaussian = z > 0.0
+    if any(ranges):
+        ranges = np.array(ranges, dtype=float)[:, None]
+        gaussian, bounded = tail & (ranges == 0.0), tail & (ranges > 0.0)
+        gap = stat[bounded] - tau[bounded]
+        log_p[bounded] = _bernstein_log_p(gap, var[bounded], np.broadcast_to(ranges, shape)[bounded])
+    log_p[gaussian] = log_ndtr(-z[gaussian])
+    if any(charged):
+        charge = gaussian & np.array(charged)[:, None]
+        if charge.any():  # ln c_n is only needed, and only taken, for a tail
+            log_p[charge] = _charge(log_p[charge], n)
+    p[tail] = _per_distinct(_clamp_p, log_p[tail])
+    return values, status
+
+
+def _run_suite(tests: tuple[tuple[TestKind, TestOptions], ...], profile: CountProfile) -> list[TestResult]:
+    """Every test of a suite on one profile, in one _suite_results call."""
+    reads = [x for kind, opts in tests for x in _reads(kind, opts.mode, profile)]
+    values, status = _suite_results(tests, profile.n, [reads])
+    return [
+        TestResult(kind, profile.n, *fields, applicable=code < _SMALL, notes=_note(kind, opts, code))
+        for (kind, opts), fields, code in zip(tests, values.T[0].tolist(), status.T[0].tolist())
+    ]
+
+
+def run_test(kind: TestKind, profile: CountProfile, opts: TestOptions | None = None) -> TestResult:
+    """Evaluate one test on one profile.
+
+    Composes statistic, mean bound, variance bound and tail; it is the
+    one-profile, one-test case of the kernel the Monte Carlo harness
+    runs. The result depends on the profile only through its
+    multiplicities. Profiles with n < 2 make every test inapplicable
+    (p = 1). A statistic at or below its mean bound yields p = 1 (the
+    tests are one-sided; they can never certify iid-ness). See the
+    module docstring for mode and variance semantics.
+    """
+    return _run_suite(((kind, opts or TestOptions()),), profile)[0]
 
 
 def _combinable(results: Iterable[TestResult], alpha: float | None) -> list[TestResult]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import gammaln, log_ndtr, ndtr, ndtri
+from scipy.special import gammaln, log_ndtr
 
 __all__ = [
     "log_binomial_pmf",
@@ -19,8 +19,6 @@ __all__ = [
     "log_cn",
     "log_normal_sf",
     "log_ratio_poisson_binomial",
-    "normal_cdf",
-    "normal_quantile",
     "stirling_factor",
 ]
 
@@ -122,18 +120,6 @@ def log_cn(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return float(gammaln(n + 1) - n * math.log(n) + n)
-
-
-def normal_cdf(y: float) -> float:
-    """Standard normal CDF Phi(y)."""
-    return float(ndtr(y))
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse of the standard normal CDF on (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    return float(ndtri(p))
 
 
 def log_normal_sf(y: float) -> float:

@@ -37,8 +37,6 @@ from .numerics import (
     log_normal_sf,
     log_poisson_pmf,
     log_ratio_poisson_binomial,
-    normal_cdf,
-    normal_quantile,
     stirling_factor,
 )
 
@@ -125,19 +123,13 @@ def _check_normal_tail() -> tuple[bool, str]:
         got = log_normal_sf(y)
         if abs(got - expect) > 1e-10 * abs(expect):
             return False, f"log tail at y={y}: {got} vs {expect}"
+    # against the complementary error function on a moderate grid, where
+    # 0.5 erfc(y / sqrt 2) keeps its relative precision
     for y in np.linspace(-6.0, 6.0, 61):
-        if abs(normal_cdf(y) + normal_cdf(-y) - 1.0) > 1e-14:
-            return False, f"cdf symmetry broken at y={y}"
-        # the tail side keeps full relative resolution at every depth
-        if abs(normal_quantile(normal_cdf(-abs(y))) + abs(y)) > 1e-9:
-            return False, f"tail quantile round trip off at y={y}"
-    for y in np.linspace(-4.5, 4.5, 31):
-        # near p = 1 the quantile amplifies the half-ulp of the cdf by
-        # 1/pdf(y), which passes 1e-9 beyond |y| of about 5.2, so the
-        # near-one side is only checked where it is well conditioned
-        if abs(normal_quantile(normal_cdf(y)) - y) > 1e-9:
-            return False, f"quantile round trip off at y={y}"
-    return True, "tail anchors, symmetry and quantile round trips hold"
+        want = math.log(0.5 * math.erfc(y / math.sqrt(2.0)))
+        if abs(log_normal_sf(y) - want) > 1e-13 * max(1.0, abs(want)):
+            return False, f"log tail at y={y}: {log_normal_sf(y)} vs ln(erfc/2) {want}"
+    return True, "tail anchors hold and log_normal_sf matches ln(erfc(y/sqrt 2)/2) on [-6, 6]"
 
 
 def _check_cn_factor() -> tuple[bool, str]:

@@ -30,8 +30,9 @@ from iidtest.invariants import (
     TestOptions,
     VarianceSource,
     parse_kind,
-    run_test,
 )
+
+import scalar_reference as reference
 
 
 def suite_config(generator, reps, seed=0, tests=DEFAULT_SUITE, **kwargs):
@@ -339,8 +340,8 @@ def _reference_pvalues_csv(labels, pvalues):
 
 
 def _scalar_reference_tables(cfg):
-    # the harness one rep at a time: sample, run_test per member, and
-    # aggregate and write the tables in plain Python
+    # the harness one rep at a time: sample, the scalar reference's
+    # run_test per member, and aggregate and write the tables in plain Python
     reps = cfg.reps
     pvalues = {label: [] for label in cfg.labels}
     totals = {}
@@ -349,7 +350,7 @@ def _scalar_reference_tables(cfg):
         profile = sample(cfg.generator, rng=rng)
         pvalues["u"].append(float(rng.random()))
         for label, (kind, opts) in zip(cfg.labels, cfg.tests):
-            pvalues[label].append(run_test(kind, profile, opts).p)
+            pvalues[label].append(reference.run_test(kind, profile, opts).p)
         for k, mk in profile.multiplicities.items():
             totals[k] = totals.get(k, 0) + mk
         if rep == 0:

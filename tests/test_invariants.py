@@ -19,12 +19,14 @@ from iidtest.invariants import (
     TestOptions,
     TestResult,
     VarianceSource,
+    _SMALL,
     _TINY_P,
-    _check_options,
     _clamp_p,
+    _note,
     _per_distinct,
-    _suite_pvalues,
+    _run_suite,
     _suite_reads,
+    _suite_results,
     bound_mean,
     bound_variance,
     combine_bonferroni,
@@ -36,6 +38,8 @@ from iidtest.invariants import (
     statistic,
 )
 from iidtest.numerics import log_cn
+
+import scalar_reference as reference
 
 TINY = math.ulp(0.0)
 
@@ -468,7 +472,7 @@ def _suite_members():
     ):
         opts = TestOptions(mode, cn, src, tail)
         try:
-            _check_options(kind, opts)
+            reference.check_options(kind, opts)
         except ValueError:
             continue
         members.append((kind, opts))
@@ -521,21 +525,39 @@ def _dense(rows):
     return mult
 
 
-def _assert_kernel_matches_run_test(suite, n, rows):
+_FIELDS = ("statistic", "tau_ub", "v_ub", "z", "log_p", "p")
+
+
+def _result_bits(results):
+    # every TestResult field, its floats as bit patterns
+    return [(r.kind, r.n, _bits([getattr(r, f) for f in _FIELDS]), r.applicable, r.notes) for r in results]
+
+
+def _assert_kernel_matches_reference(suite, n, rows):
     profiles = [CountProfile(n, row) for row in rows]
     try:
-        expected = np.array([[run_test(kind, prof, opts).p for prof in profiles] for kind, opts in suite])
+        expected = [[reference.run_test(kind, prof, opts) for prof in profiles] for kind, opts in suite]
     except ValueError as exc:
         # a multinomial bound beyond reach raises whatever the profile
         with pytest.raises(ValueError, match=str(exc).split(",")[0]):
-            _suite_pvalues(suite, n, _suite_reads(suite, n, _dense(rows)))
+            _suite_results(suite, n, _suite_reads(suite, n)(_dense(rows)))
+        with pytest.raises(ValueError, match=str(exc).split(",")[0]):
+            _run_suite(suite, profiles[0])
         return
+    want = np.array([[[getattr(r, f) for r in results] for results in expected] for f in _FIELDS])
+    applicable = [[r.applicable for r in results] for results in expected]
+    notes = [[r.notes for r in results] for results in expected]
     # one block for all rows, and one block per row, each as wide as it needs
-    blocks = [_suite_reads(suite, n, _dense(rows))]
-    blocks.append(np.concatenate([_suite_reads(suite, n, _dense([row])) for row in rows]))
+    blocks = [_suite_reads(suite, n)(_dense(rows))]
+    blocks.append(np.concatenate([_suite_reads(suite, n)(_dense([row])) for row in rows]))
     for reads in blocks:
-        got = _suite_pvalues(suite, n, reads)
-        assert got.tobytes() == expected.tobytes()
+        values, status = _suite_results(suite, n, reads)
+        assert values.tobytes() == want.tobytes()
+        assert (status < _SMALL).tolist() == applicable
+        assert [[_note(kind, opts, code) for code in codes] for (kind, opts), codes in zip(suite, status.tolist())] == notes
+    # the one-profile path, from the profile's sparse reads
+    for i, prof in enumerate(profiles):
+        assert _result_bits(_run_suite(suite, prof)) == _result_bits([results[i] for results in expected])
 
 
 _SIZES = [0, 1, 2, 3, 4, 9, 40, 200, 5000, 100_000]
@@ -544,7 +566,7 @@ _SIZES = [0, 1, 2, 3, 4, 9, 40, 200, 5000, 100_000]
 @pytest.mark.parametrize("n", _SIZES)
 def test_suite_kernel_matches_run_test_for_every_member(n):
     for member in _MEMBERS:
-        _assert_kernel_matches_run_test((member,), n, _fixed_rows(n))
+        _assert_kernel_matches_reference((member,), n, _fixed_rows(n))
 
 
 def test_suite_kernel_matches_run_test_on_random_tails():
@@ -559,7 +581,7 @@ def test_suite_kernel_matches_run_test_on_random_tails():
         row[rest] = row.get(rest, 0) + 1
         rows.append(row)
     for member in _MEMBERS:
-        _assert_kernel_matches_run_test((member,), n, rows)
+        _assert_kernel_matches_reference((member,), n, rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -569,7 +591,47 @@ def test_suite_kernel_matches_run_test_bit_for_bit(data):
     rows = data.draw(st.lists(_profile_rows(n), min_size=1, max_size=8)) + _fixed_rows(n)
     picks = data.draw(st.lists(st.sampled_from(_MEMBERS), min_size=1, max_size=8))
     suite = tuple({str(kind): (kind, opts) for kind, opts in picks}.values())
-    _assert_kernel_matches_run_test(suite, n, rows)
+    _assert_kernel_matches_reference(suite, n, rows)
+
+
+# sparse profiles whose j^2 m_j passes 2**63, out of int64's reach
+_HUGE = [
+    {10**30: 1},
+    {1: 2 * 10**21, 2: 10**21},
+    {1: 2**62, 2: 2**62, 3: 2**62},
+    {1: 5, 2: 7, 2**32: 2**3},
+    {1: 10**20, 2: 10**21, 3: 10**20, 4: 3},
+]
+
+
+def _outcome(func, *args):
+    # the bits of what func returns, or its error's type and first word
+    # (log_cn cannot take an n past int64: a TypeError on both sides)
+    try:
+        result = func(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc).split()[0]
+    return _result_bits([result]) if isinstance(result, TestResult) else _bits([result])
+
+
+@pytest.mark.parametrize("m", _HUGE)
+def test_one_profile_path_matches_the_reference_past_2_63(m):
+    profile = CountProfile(sum(k * c for k, c in m.items()), m)
+    for kind, opts in _MEMBERS:
+        assert _outcome(run_test, kind, profile, opts) == _outcome(reference.run_test, kind, profile, opts)
+        assert _outcome(bound_variance, kind, profile, opts) == _outcome(reference.bound_variance, kind, profile, opts)
+        assert _outcome(statistic, kind, profile, opts.mode) == _outcome(reference.statistic, kind, profile, opts.mode)
+    suite = tuple((kind, TestOptions()) for kind in DEFAULT_SUITE)
+    assert _result_bits(_run_suite(suite, profile)) == _result_bits([reference.run_test(k, profile, o) for k, o in suite])
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_kernel_checks_options_before_the_small_sample_return(n):
+    # every test of the suite gets its options checked on any profile
+    suite = ((TestKind("count", 2), TestOptions()), (TestKind("even"), TestOptions(variance_source="theoretical")))
+    reads = _suite_reads(suite, n)(_dense([{1: n} if n else {}]))
+    with pytest.raises(ValueError, match="even has no theoretical variance bound; use empirical"):
+        _suite_results(suite, n, reads)
 
 
 def _bits(values):
@@ -580,21 +642,24 @@ _LOG_PS = [-0.0, 0.0, -math.inf, math.log(5e-324) - 1.0, -745.2, -3.5, -1e-300, 
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.sampled_from(_LOG_PS) | st.floats(max_value=0.0), max_size=40))
+@given(st.lists(st.sampled_from(_LOG_PS) | st.floats(max_value=0.0), max_size=200))
 @example(_LOG_PS)
+@example(_LOG_PS * 10)
 def test_per_distinct_clamp_matches_clamp_p_entry_by_entry(log_ps):
     values = np.array(log_ps, dtype=float)
     assert _bits(_per_distinct(_clamp_p, values)) == _bits([_clamp_p(x) for x in log_ps])
 
 
 def test_per_distinct_matches_math_entry_by_entry():
-    clamped = _per_distinct(_clamp_p, np.array(_LOG_PS))
-    # below ln(5e-324) the p-value underflows to the smallest positive one
-    assert clamped[2] == clamped[3] == _TINY_P and clamped[0] == clamped[1] == 1.0
-    for entries in ([1, 2, 3, 2, 7, 1, 10**6, 3], [0.5, 1e-300, 5e-324, 2.0, 0.5, 3.0]):
-        values = np.array(entries)
-        assert _bits(_per_distinct(math.log, values)) == _bits([math.log(v) for v in entries])
+    # a few entries are mapped one by one, many through np.unique
+    for times in (1, 20):
+        clamped = _per_distinct(_clamp_p, np.array(_LOG_PS * times))
+        # below ln(5e-324) the p-value underflows to the smallest positive one
+        assert clamped[2] == clamped[3] == _TINY_P and clamped[0] == clamped[1] == 1.0
+        for entries in ([1, 2, 3, 2, 7, 1, 10**6, 3], [0.5, 1e-300, 5e-324, 2.0, 0.5, 3.0]):
+            values = np.array(entries * times)
+            assert _bits(_per_distinct(math.log, values)) == _bits([math.log(v) for v in entries * times])
+        # 0.0 and -0.0 compare equal; math.log refuses both, and so does the helper
+        with pytest.raises(ValueError):
+            _per_distinct(math.log, np.array([1.0, -0.0, 0.0] * 3 * times))
     assert _per_distinct(math.log, np.array([], dtype=np.int64)).size == 0
-    # 0.0 and -0.0 compare equal; math.log refuses both, and so does the helper
-    with pytest.raises(ValueError):
-        _per_distinct(math.log, np.array([1.0, -0.0, 0.0]))

@@ -8,8 +8,8 @@ PUBLIC = [
     "TestResult", "VarianceSource", "__version__", "bound_mean", "bound_variance",
     "combine_bonferroni", "combine_weighted_infinite", "config_from_json", "config_to_json",
     "emit_report", "expected_mk", "ingest_items", "ingest_lines", "log_binomial_pmf", "log_cn",
-    "log_normal_sf", "log_poisson_pmf", "log_ratio_poisson_binomial", "make_theta", "normal_cdf",
-    "normal_quantile", "p_value_bernstein", "p_value_gaussian", "parse_kind",
+    "log_normal_sf", "log_poisson_pmf", "log_ratio_poisson_binomial", "make_theta",
+    "p_value_bernstein", "p_value_gaussian", "parse_kind",
     "profile_from_counts", "profile_from_json", "profile_to_json", "reference_theta",
     "rejection_curve", "run_checks", "run_experiment", "run_test", "sample", "sample_items",
     "statistic", "stirling_factor", "theoretical_variance",
