@@ -15,23 +15,21 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .counts import ingest_lines, profile_from_json, profile_to_json
-from .generators import _CORRUPTIONS, _KINDS, GeneratorSpec, sample, sample_items
-from .harness import config_from_json, config_to_json, emit_report, run_experiment
-from .invariants import (
+# only numpy-free modules at the top: each command imports what it
+# computes with, so `iidtest count` loads neither numpy nor scipy
+from .definitions import (
+    _CORRUPTIONS,
+    _KINDS,
     DEFAULT_SUITE,
     FAMILIES,
+    SUITE_NAMES,
+    GeneratorSpec,
     Mode,
     TestKind,
     TestOptions,
     VarianceSource,
-    _run_suite,
-    bound_mean,
-    combine_bonferroni,
     parse_kind,
-    theoretical_variance,
 )
-from .verify import SUITES, run_checks
 
 _USAGE_EXIT = 1
 _REJECT_EXIT = 2
@@ -63,6 +61,8 @@ def _options_from_args(args) -> TestOptions:
 
 
 def _cmd_count(args) -> int:
+    from .counts import ingest_lines, profile_to_json
+
     if args.input == "-":
         profile = ingest_lines(sys.stdin.buffer, hashed=args.hashed)
     else:
@@ -73,6 +73,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_test(args) -> int:
+    from .counts import profile_from_json
+    from .invariants import _run_suite, combine_bonferroni
+
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {args.alpha}")
     profile = profile_from_json(_read_text(args.input))
@@ -110,6 +113,9 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .counts import profile_to_json
+    from .generators import sample, sample_items
+
     spec = GeneratorSpec(
         kind=args.kind,
         n=args.n,
@@ -127,6 +133,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    from .harness import config_from_json, config_to_json, emit_report, run_experiment
+
     cfg = config_from_json(_read_text(args.config))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -151,6 +159,8 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .invariants import bound_mean, theoretical_variance
+
     families = [name.strip() for name in args.kind.split(",")] if args.kind else list(FAMILIES)
     ks = [int(tok) for tok in args.k.split(",")] if args.k else [2]
     mode = Mode(args.mode)
@@ -172,6 +182,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_checks
+
     names = [args.suite] if args.suite else None
     results = run_checks(names)
     lines = [f"{r.name},{'ok' if r.ok else 'fail'}" for r in results]
@@ -231,7 +243,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("verify", parents=[common], help="run numeric verification suites")
-    p.add_argument("--suite", default=None, choices=sorted(SUITES),
+    p.add_argument("--suite", default=None, choices=sorted(SUITE_NAMES),
                    help="single suite to run (default: all)")
     p.set_defaults(func=_cmd_verify)
     return parser

@@ -15,6 +15,7 @@ import warnings
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from itertools import islice
 from typing import BinaryIO
 
 __all__ = [
@@ -76,10 +77,11 @@ class CountProfile:
         return self.multiplicities.get(k, 0)
 
 
-# Bytes per read in ingest_lines: large enough that the per-chunk
-# Python steps are negligible, small enough that the input is never
-# held in memory.
+# Bytes per read in ingest_lines, and items per batch in ingest_items:
+# large enough that the per-chunk Python steps are negligible, small
+# enough that the input is never held in memory.
 _CHUNK = 1 << 20
+_BATCH = 1 << 16
 
 
 def _digest(item: bytes) -> bytes:
@@ -127,7 +129,15 @@ def ingest_items(items: Iterable[bytes | str], hashed: bool = False) -> CountPro
     but a digest collision would silently merge two distinct items, so
     the exact mode is the default.
     """
-    return _count([map(_as_bytes, items)], hashed)
+    return _count(_batches(items), hashed)
+
+
+def _batches(items: Iterable[bytes | str]) -> Iterator[Iterable[bytes]]:
+    # a batch of nothing but bytes goes to the counter as it is; any
+    # other batch is normalised item by item
+    items = iter(items)
+    while batch := list(islice(items, _BATCH)):
+        yield batch if set(map(type, batch)) == {bytes} else map(_as_bytes, batch)
 
 
 def _lines(stream: BinaryIO) -> Iterator[list[bytes]]:

@@ -12,14 +12,13 @@ what the tests are supposed to catch.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .counts import CountProfile
+from .definitions import GeneratorSpec
 
 __all__ = [
     "GeneratorSpec",
@@ -31,69 +30,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-
-_KINDS = ("uniform", "linear", "cards")
-_CORRUPTIONS = ("none", "even_n", "even_m", "no_empty", "no_unique")
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Description of one synthetic data source.
-
-    ``kind`` selects the base source: ``uniform`` and ``linear`` draw n
-    iid items from d categories (flat or triangular weights), ``cards``
-    draws n cards without replacement from ``decks`` shuffled-together
-    52-card decks (face value is the item). Corruptions apply to the
-    iid kinds only:
-
-    even_n
-        draw n/2 items, duplicate each (needs even n)
-    even_m
-        draw n/2 items, append a copy relabeled into fresh categories
-        d+1..2d, making every multiplicity even (needs even n)
-    no_empty
-        draw n-d items, append each category once (needs n >= d)
-    no_unique
-        draw n-2d items, append each category twice (needs n >= 2d)
-    """
-
-    kind: str
-    n: int
-    d: int = 0
-    corruption: str = "none"
-    decks: int = 1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("n", "d", "decks", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.corruption not in _CORRUPTIONS:
-            raise ValueError(f"unknown corruption {self.corruption!r}")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        if self.kind == "cards":
-            if self.decks < 1:
-                raise ValueError(f"decks must be >= 1, got {self.decks}")
-            if self.corruption != "none":
-                raise ValueError("cards supports no corruption")
-            if self.n > 52 * self.decks:
-                raise ValueError(
-                    f"cannot draw {self.n} cards from {52 * self.decks}"
-                )
-            return
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.corruption in ("even_n", "even_m") and self.n % 2:
-            raise ValueError(f"{self.corruption} needs even n, got {self.n}")
-        if self.corruption == "no_empty" and self.n < self.d:
-            raise ValueError("no_empty needs n >= d")
-        if self.corruption == "no_unique" and self.n < 2 * self.d:
-            raise ValueError("no_unique needs n >= 2d")
 
 
 def make_theta(kind: str, d: int) -> np.ndarray:

@@ -33,14 +33,26 @@ count/slope/curvature families do not share this caveat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
-from .counts import CountProfile, _is_int
+from .counts import CountProfile
+from .definitions import (
+    _MAX_K,
+    DEFAULT_SUITE,
+    FAMILIES,
+    CombinedResult,
+    Family,
+    Mode,
+    PValueMethod,
+    TestKind,
+    TestOptions,
+    TestResult,
+    VarianceSource,
+    parse_kind,
+)
 from .numerics import log_binomial_pmf, log_cn, log_normal_sf
 
 __all__ = [
@@ -66,200 +78,7 @@ __all__ = [
     "combine_weighted_infinite",
 ]
 
-
-class Mode(str, Enum):
-    POISSON = "poisson"
-    MULTINOMIAL = "multinomial"
-
-
-class VarianceSource(str, Enum):
-    AUTO = "auto"
-    EMPIRICAL = "empirical"
-    THEORETICAL = "theoretical"
-
-
-class PValueMethod(str, Enum):
-    GAUSSIAN = "gaussian"
-    BERNSTEIN = "bernstein"
-
-
-@dataclass(frozen=True)
-class Family:
-    """The rules of one test family.
-
-    ``min_k`` is the smallest admissible k (None for the k-free even
-    and odd). A linear family also carries ``weights``, a map from the
-    offset j - k to the weight of m_j in T = sum w m_j. The statistic,
-    the empirical (sum w^2 m_j) and theoretical (sum w^2 mu_j) variance
-    bounds, the Bernstein range max |w| and ``min_k`` all follow from
-    it; a family without weights has no theoretical variance. Sums run
-    in the weights' order.
-    """
-
-    min_k: int | None
-    weights: dict[int, int] | None = None
-
-    @classmethod
-    def linear(cls, weights: dict[int, int]) -> Family:
-        return cls(1 - min(weights), weights)
-
-
-# the order is the one `iidtest bounds` prints by default
-FAMILIES: dict[str, Family] = {
-    "count": Family.linear({0: 1}),
-    "slope": Family.linear({0: 1, -1: -1}),
-    "slopelower": Family.linear({-1: 1, 0: -1}),
-    "curv": Family.linear({0: 2, -1: -1, 1: -1}),
-    "logcurv": Family(min_k=2),
-    "even": Family(min_k=None),
-    "odd": Family(min_k=None),
-}
-
 _TINY_P = math.ulp(0.0)
-
-# The bound formulas take k through k ln k - ln k! style differences
-# in doubles: beyond 2**53 (where k and k + 1 stop being distinct
-# doubles) they carry no digit of k, from about 2**56 the slope bounds
-# overflow, and near 2**63 gammaln cannot take k + 1 at all.
-_MAX_K = 2**53
-
-
-@dataclass(frozen=True)
-class TestKind:
-    """One member of the test family, e.g. ``count`` at k=2.
-
-    ``family`` is one of even, odd, count, slope, slopelower, curv,
-    logcurv; ``k`` is required for all but even/odd (count allows
-    k >= 1, the rest k >= 2) and may be at most 2**53, beyond which the
-    bound formulas cannot be evaluated.
-    """
-
-    family: str
-    k: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown test family {self.family!r}")
-        min_k = FAMILIES[self.family].min_k
-        if min_k is None:
-            if self.k is not None:
-                raise ValueError(f"{self.family} takes no k")
-        else:
-            if self.k is None:
-                raise ValueError(f"{self.family} needs k >= {min_k}")
-            if not _is_int(self.k) or self.k < min_k:
-                raise ValueError(f"{self.family} needs integer k >= {min_k}, got {self.k!r}")
-            if self.k > _MAX_K:
-                raise ValueError(f"{self.family} needs k <= 2**53, got {self.k}")
-
-    def __str__(self) -> str:
-        return self.family if self.k is None else f"{self.family}:{self.k}"
-
-
-def parse_kind(token: str) -> TestKind:
-    """Parse a kind token such as ``even`` or ``slope:3``."""
-    if not isinstance(token, str):
-        raise ValueError(f"test kind must be a string such as 'count:2', got {token!r}")
-    name, sep, tail = token.strip().partition(":")
-    if not sep:
-        return TestKind(name)
-    try:
-        k = int(tail)
-    except ValueError:
-        raise ValueError(f"bad k in test token {token!r}") from None
-    return TestKind(name, k)
-
-
-DEFAULT_SUITE: tuple[TestKind, ...] = (
-    TestKind("even"),
-    TestKind("odd"),
-    TestKind("count", 2),
-    TestKind("slope", 2),
-    TestKind("curv", 2),
-    TestKind("logcurv", 2),
-)
-
-
-@dataclass(frozen=True)
-class TestOptions:
-    """Evaluation knobs shared by all kinds.
-
-    Defaults match the plain experimental configuration: Poisson-mode
-    bounds, no c_n correction, per-family automatic variance source
-    (theoretical for count, empirical otherwise), Gaussian tail.
-    Enabling ``cn_correction`` buys strict validity of the Poisson
-    bounds at the price of ~ln sqrt(2 pi n) of log-significance.
-    """
-
-    mode: Mode = Mode.POISSON
-    cn_correction: bool = False
-    variance_source: VarianceSource = VarianceSource.AUTO
-    pvalue_method: PValueMethod = PValueMethod.GAUSSIAN
-
-    def __post_init__(self) -> None:
-        # a truthy string such as "off" must not switch the charge on
-        if not isinstance(self.cn_correction, bool):
-            raise ValueError(f"cn_correction must be True or False, got {self.cn_correction!r}")
-        object.__setattr__(self, "mode", Mode(self.mode))
-        object.__setattr__(self, "variance_source", VarianceSource(self.variance_source))
-        object.__setattr__(self, "pvalue_method", PValueMethod(self.pvalue_method))
-
-
-@dataclass(frozen=True)
-class TestResult:
-    """Outcome of one test on one profile.
-
-    For the logcurv family, ``statistic`` and ``tau_ub`` live on the
-    log scale while ``v_ub`` is reported on the count scale n^2 times
-    the inverse-multiplicity sum; ``z`` uses the delta-method form
-    n (statistic - tau_ub) / sqrt(v_ub), which is the same number as
-    dividing the log-scale excess by sqrt(1/m_{k-1} + 4/m_k + 1/m_{k+1}).
-    Every other family satisfies z = (statistic - tau_ub)/sqrt(v_ub)
-    directly.
-
-    ``p`` equals min(1, exp(log_p)) clamped below to the smallest
-    positive float, so the exact tail mass is always recoverable from
-    ``log_p``. ``applicable`` False forces p = 1; ``notes`` records
-    which bounds produced the numbers.
-    """
-
-    kind: TestKind
-    n: int
-    statistic: float
-    tau_ub: float
-    v_ub: float
-    z: float
-    log_p: float
-    p: float
-    applicable: bool = True
-    notes: str = ""
-
-    def to_dict(self) -> dict:
-        def scrub(x: float) -> float | None:
-            return x if math.isfinite(x) else None
-
-        return {
-            "kind": self.kind.family,
-            "k": self.kind.k,
-            "statistic": scrub(self.statistic),
-            "tau_ub": scrub(self.tau_ub),
-            "v_ub": scrub(self.v_ub),
-            "z": scrub(self.z),
-            "log_p": scrub(self.log_p),
-            "p": self.p,
-            "applicable": self.applicable,
-            "notes": self.notes,
-        }
-
-
-@dataclass(frozen=True)
-class CombinedResult:
-    """A multiple-testing combination: overall p, the member that
-    attained it, and the decision when a level was supplied."""
-
-    p: float
-    source: TestKind | None
-    reject: bool | None = None
 
 
 def _read_weights(kind: TestKind, mode: Mode, n: int, ks: Iterable[int]) -> list[dict[int, int]]:

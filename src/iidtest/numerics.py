@@ -110,15 +110,27 @@ def stirling_factor(k: int) -> float:
     return math.exp(-delta)
 
 
+# log_cn's switch from the log-gamma form to Stirling's series. Below
+# it the log-gamma form is within 1e-9 and pinned outputs rest on its
+# bits; above it the cancellation between ln(n!) and n ln n - n costs
+# about ulp(n ln n): 2.5e-7 at n = 1e8, the whole charge of 19.3 at 1e16.
+_CN_SERIES_FROM = 2**20
+
+
 def log_cn(n: int) -> float:
     """ln c_n = ln(n!) - n ln n + n, the penalty for treating the n
     observed counts as independent Poisson draws.
 
     c_n is about sqrt(2 pi n), so the log is a mild additive charge
-    against log-scale significance.
+    against log-scale significance. Large n, Python ints past int64
+    included, takes 0.5 ln(2 pi n) plus Stirling's correction series
+    as `stirling_factor` does, since the log-gamma form would lose the
+    charge to cancellation.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > _CN_SERIES_FROM:
+        return 0.5 * math.log(2.0 * math.pi * n) + _stirling_delta(n)
     return float(gammaln(n + 1) - n * math.log(n) + n)
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .counts import CountProfile
+from .definitions import SUITE_NAMES
 from .generators import (
     GeneratorSpec,
     _deal_counts,
@@ -324,18 +325,10 @@ def _check_sampler_determinism() -> tuple[bool, str]:
     )
 
 
+# the names are written once, in SUITE_NAMES, which the command-line
+# parser reads without importing this module
 SUITES: dict[str, Callable[[], tuple[bool, str]]] = {
-    "stirling": _check_stirling,
-    "pmf-normalization": _check_pmf_normalization,
-    "normal-tail": _check_normal_tail,
-    "cn-factor": _check_cn_factor,
-    "poisson-binomial-regime": _check_poisson_binomial_regime,
-    "central-binomial": _check_central_binomial,
-    "poisson-envelopes": _check_poisson_envelopes,
-    "multinomial-envelopes": _check_multinomial_envelopes,
-    "even-odd-envelopes": _check_even_odd_envelopes,
-    "brute-force-d2": _check_brute_force_d2,
-    "sampler-determinism": _check_sampler_determinism,
+    name: globals()[f"_check_{name.replace('-', '_')}"] for name in SUITE_NAMES
 }
 
 

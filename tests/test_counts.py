@@ -3,6 +3,8 @@
 import io
 import json
 import random
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from iidtest.counts import (
+    _BATCH,
     _CHUNK,
     CountProfile,
     ingest_items,
@@ -53,6 +56,29 @@ def test_ingest_refuses_items_that_are_neither_text_nor_bytes(item):
     # bytes(3) would count three zero bytes, bytes(-1) raise another error
     with pytest.raises(ValueError, match=f"^items must be str or bytes-like, got {type(item).__name__}$"):
         ingest_items([b"a", item])
+
+
+def _as_type(i: int, data: bytes):
+    return (bytes, bytes.decode, bytearray, lambda b: memoryview(bytearray(b)))[i % 4](data)
+
+
+@pytest.mark.parametrize("hashed", [False, True])
+def test_ingest_batches_mix_bytes_with_other_item_types(hashed):
+    # one batch of bytes only, one of all four types (bytearray and a
+    # writable memoryview are unhashable, so must not reach the counter
+    # as they are), one of bytes again, and a short last one
+    labels = [b"%d" % (i % 1000) for i in range(3 * _BATCH + 5)]
+    items = labels[:_BATCH] + [_as_type(i, x) for i, x in enumerate(labels[_BATCH:2 * _BATCH])]
+    items += labels[2 * _BATCH:-5] + [_as_type(i, x) for i, x in enumerate(labels[-5:])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        profile = ingest_items(iter(items), hashed=hashed)
+    assert profile == profile_from_counts(Counter(labels).values())
+
+
+def test_ingest_refuses_a_bad_item_beyond_the_first_batch():
+    with pytest.raises(ValueError, match="^items must be str or bytes-like, got int$"):
+        ingest_items([b"a"] * _BATCH + [b"b", "c", 3])
 
 
 def test_ingest_hashed_mode_warns_and_preserves_multiplicities():

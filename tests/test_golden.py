@@ -1,10 +1,13 @@
-"""`iidtest test` reports pinned byte for byte.
+"""`iidtest test` reports, every ``--help`` and two usage errors pinned
+byte for byte.
 
-Each case runs the command on one profile document and compares its
-stdout with the file ``golden/<case>.json`` and its exit code with the
-table. The profiles reach the corners of the p-value stage: sums past
-2**63, a zero variance, n < 2, every logcurv zero pattern, each option
-flag and the largest k.
+Each report case runs the command on one profile document and compares
+its stdout with the file ``golden/<case>.json`` and its exit code with
+the table. The profiles reach the corners of the p-value stage: sums
+past 2**63, a zero variance, n < 2, every logcurv zero pattern, each
+option flag and the largest k. The help and usage texts are compared
+with ``golden/<case>.txt`` at an 80-column terminal, as CPython 3.11's
+argparse formats them; other Python versions may word them differently.
 """
 
 import json
@@ -26,6 +29,8 @@ LINEAR = ",".join(["count:1", "count:2", "count:3", "slope:2", "slope:3",
 CASES = {
     # count:2 has z = -4.29e14 and slope:2 has v_ub = 0
     "n_1e30_on_one_item": ({"n": 10**30, "m": {str(10**30): 1}}, [], 0),
+    # ln c_n past int64, from Stirling's series
+    "n_1e30_on_one_item_cn_on": ({"n": 10**30, "m": {str(10**30): 1}}, ["--cn", "on"], 0),
     "sums_past_2_63": ({"n": 4 * 10**21, "m": {"1": 2 * 10**21, "2": 10**21}}, [], 2),
     "n_0": ({"n": 0, "m": {}}, [], 0),
     "n_1": ({"n": 1, "m": {"1": 1}}, [], 0),
@@ -59,6 +64,29 @@ def test_test_report_is_pinned(case, tmp_path, capsys):
     code, out = run(case, tmp_path, capsys)
     assert out.encode() == (GOLDEN / f"{case}.json").read_bytes()
     assert code == CASES[case][2]
+
+
+# case -> argv; help goes to stdout with exit 0, a usage error to stderr with exit 1
+HELP_CASES = {
+    "help_iidtest": ["--help"],
+    **{f"help_{command}": [command, "--help"]
+       for command in ("count", "test", "simulate", "power", "bounds", "verify")},
+    "usage_bad_suite": ["verify", "--suite", "nope"],
+    "usage_bad_kind": ["simulate", "--kind", "pareto", "--n", "5"],
+}
+
+
+@pytest.mark.parametrize("case", list(HELP_CASES))
+def test_help_and_usage_errors_are_pinned(case, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(HELP_CASES[case])
+    captured = capsys.readouterr()
+    code = 0 if case.startswith("help_") else 1
+    text, other = (captured.out, captured.err) if code == 0 else (captured.err, captured.out)
+    assert exit_info.value.code == code
+    assert other == ""
+    assert text.encode() == (GOLDEN / f"{case}.txt").read_bytes()
 
 
 @pytest.mark.parametrize("n", [0, 1])

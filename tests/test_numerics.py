@@ -156,6 +156,29 @@ def test_log_cn_stirling_identity():
         log_cn(0)
 
 
+# n = 10^e and 3 10^e from 1e2 to 1e30, the switch to Stirling's series
+# on both sides, and the edges of doubles, int64 and uint64
+_CN_NS = sorted(
+    [c * 10**e for e in range(2, 31) for c in (1, 3)][:-1] + [2**20, 2**20 + 1, 2**53, 2**63, 2**64]
+)
+
+
+@pytest.mark.parametrize("n", _CN_NS)
+def test_log_cn_matches_a_60_digit_oracle(n):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        exact = float(mpmath.loggamma(n + 1) - n * mpmath.log(n) + n)
+    # the log-gamma form loses ulp(n ln n) to cancellation below the
+    # switch; the series keeps a few ulps of the charge above it
+    assert abs(log_cn(n) - exact) <= (1e-9 if n <= 2**20 else 4 * math.ulp(exact))
+
+
+@pytest.mark.parametrize("n", [2, 200, 1000, 10**5, 2**20])
+def test_log_cn_keeps_the_log_gamma_form_below_the_switch(n):
+    # pinned reports (c_n on at n = 200, the n = 1e5 benchmark) rest on these bits
+    assert log_cn(n) == float(gammaln(n + 1) - n * math.log(n) + n)
+
+
 def test_log_normal_sf_deep_tail_anchors():
     # frozen from a 40-digit complementary-error-function evaluation
     assert log_normal_sf(5.0) == pytest.approx(-15.06499839398872573608, rel=1e-10)
