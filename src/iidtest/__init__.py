@@ -18,6 +18,9 @@ __version__ = "0.1.0"
 
 # the modules whose __all__ make up the package's, in its order
 _MODULES = ("counts", "generators", "harness", "invariants", "numerics")
+# every submodule; `from iidtest import cli` probes the package for the
+# name before importing it, and that probe must load only the submodule
+_SUBMODULES = frozenset({*_MODULES, "cli", "definitions", "verify"})
 
 
 def _load() -> None:
@@ -36,6 +39,8 @@ def __getattr__(name: str):
     # those must not pull in numpy
     if name.startswith("__") and name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
     _load()
     try:
         return globals()[name]

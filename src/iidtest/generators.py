@@ -170,18 +170,28 @@ def _deal_counts(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
     (hands x n) matrix of the n offsets it draws, one row per hand and
     faces 1..52 in columns 0..51.
 
-    The n swap steps run across all rows at once, with the same float
-    product and truncation per target as _draw_cards."""
+    Every swap target is computed up front with the same float product
+    and truncation as _draw_cards, as a flat index into one int8 pool
+    of faces 0..51 held position-major (position p of hand h at
+    p * hands + h). Step i then swaps across all hands at once: gather
+    the targets, scatter row i onto them, and copy the gathered faces
+    into row i, which no later step touches."""
     n, total = spec.n, 52 * spec.decks
     hands = len(offsets)
-    pool = np.tile(np.repeat(np.arange(1, 53), spec.decks), (hands, 1))
-    rows = np.arange(hands)
-    for i in range(n):
-        j = i + (offsets[:, i] * (total - i)).astype(np.int64)
-        drawn = pool[rows, j]
-        pool[rows, j] = pool[:, i]
-        pool[:, i] = drawn
-    dealt = pool[:, :n] - 1 + 52 * rows[:, None]
+    steps, hand = np.arange(n)[:, None], np.arange(hands)
+    targets = np.empty((n, hands), dtype=np.intp)
+    np.multiply(offsets.T, total - steps, out=targets, dtype=float, casting="unsafe")
+    targets += steps
+    targets *= hands
+    targets += hand
+    pool = np.repeat(np.arange(52, dtype=np.int8), spec.decks * hands)
+    for i, flat in enumerate(targets):
+        row = pool[i * hands : (i + 1) * hands]
+        drawn = pool[flat]
+        pool[flat] = row
+        row[:] = drawn
+    # the spent targets take each dealt face's bin, face + 52 * hand
+    dealt = np.add(pool[: n * hands].reshape(n, hands), 52 * hand, out=targets)
     return np.bincount(dealt.ravel(), minlength=52 * hands).reshape(hands, 52)
 
 
@@ -194,6 +204,10 @@ def _multiplicity_rows(counts: np.ndarray) -> np.ndarray:
     return mult
 
 
+# rows of card draws reserved per chunk: the harness's chunk of reps
+_HANDS = 1024
+
+
 def _sample_multiplicities(spec: GeneratorSpec, rngs: Iterable[np.random.Generator]):
     """Yield the multiplicity rows (m_k in column k) of the profiles the
     spec draws from each generator in turn, with the uniform each draws
@@ -204,10 +218,19 @@ def _sample_multiplicities(spec: GeneratorSpec, rngs: Iterable[np.random.Generat
     A generator is done with once the next is taken, so the streams of
     _rekeyed can be passed."""
     if spec.kind == "cards":
-        # a hand's n offsets and then its control, in one call: the same
-        # doubles as random(n) followed by random()
-        draws = np.array([rng.random(spec.n + 1) for rng in rngs]).reshape(-1, spec.n + 1)
-        yield _multiplicity_rows(_deal_counts(spec, draws[:, :-1])), draws[:, -1]
+        # a hand's n offsets and then its control, in one call into its
+        # row: the same doubles as random(n) followed by random(). The
+        # number of generators is not known up front: rows are reserved
+        # for a harness chunk, untouched ones cost no memory, and they
+        # double when full.
+        draws = np.empty((_HANDS, spec.n + 1))
+        hands = 0
+        for rng in rngs:
+            if hands == len(draws):
+                draws = np.concatenate([draws, np.empty_like(draws)])
+            rng.random(out=draws[hands])
+            hands += 1
+        yield _multiplicity_rows(_deal_counts(spec, draws[:hands, :-1])), draws[:hands, -1]
         return
     for rng in rngs:
         counts = _sample_counts(spec, rng)

@@ -33,6 +33,7 @@ count/slope/curvature families do not share this caveat.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Iterable
 
 import numpy as np
@@ -106,10 +107,13 @@ def _reads(kind: TestKind, mode: Mode, profile: CountProfile) -> list[float]:
     """One test's reads of one profile, summed in Python ints over its
     sparse m (so exact past 2**63) and each converted to float once."""
     m = profile.multiplicities
-    return [
-        float(sum(c * m.get(j, 0) for j, c in read.items()))
-        for read in _read_weights(kind, mode, profile.n, m)
-    ]
+    try:
+        return [
+            float(sum(c * m.get(j, 0) for j, c in read.items()))
+            for read in _read_weights(kind, mode, profile.n, m)
+        ]
+    except OverflowError:
+        raise ValueError(f"a read of {kind} is past the largest float, {sys.float_info.max:.6g}") from None
 
 
 def _moments_of(kind: TestKind, profile: CountProfile, mode: Mode) -> list[float]:
@@ -167,6 +171,8 @@ def bound_mean(kind: TestKind, n: int, mode: Mode = Mode.POISSON) -> float:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > sys.float_info.max:
+        raise ValueError(f"n is past the largest float, {sys.float_info.max:.6g}")
     fam, k = kind.family, kind.k
     if fam in ("even", "odd"):
         return n / 2.0

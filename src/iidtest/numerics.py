@@ -10,6 +10,7 @@ fall out of the generic expressions.
 from __future__ import annotations
 
 import math
+import sys
 
 from scipy.special import gammaln, log_ndtr
 
@@ -99,6 +100,8 @@ def stirling_factor(k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if k > sys.float_info.max:
+        raise ValueError(f"k is past the largest float, {sys.float_info.max:.6g}")
     if k <= 20:
         value = math.exp(
             k * math.log(k) - k + 0.5 * math.log(2.0 * math.pi * k) - gammaln(k + 1)
@@ -129,6 +132,8 @@ def log_cn(n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > sys.float_info.max:
+        raise ValueError(f"n is past the largest float, {sys.float_info.max:.6g}")
     if n > _CN_SERIES_FROM:
         return 0.5 * math.log(2.0 * math.pi * n) + _stirling_delta(n)
     return float(gammaln(n + 1) - n * math.log(n) + n)

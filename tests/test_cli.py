@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from iidtest.numerics import log_cn
+from iidtest.numerics import log_cn, stirling_factor
 
 DOUBLED = json.dumps({"n": 1000, "m": {"2": 500}})
 
@@ -388,6 +388,32 @@ def test_test_takes_k_up_to_the_largest_the_bounds_can(k):
     else:
         assert proc.returncode == 1
         assert proc.stderr == f"iidtest test: count needs k <= 2**53, got {k}\n"
+
+
+@pytest.mark.parametrize("flags, what", [
+    ([], "a read of even"),
+    (["--cn", "on"], "a read of even"),
+    (["--mode", "multinomial"], "n"),
+])
+def test_test_n_past_the_largest_float_exits_one(flags, what):
+    n = 10**400
+    proc = run_cli("test", "-", *flags, stdin=json.dumps({"n": n, "m": {str(n): 1}}))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"iidtest test: {what} is past the largest float, 1.79769e+308\n"
+
+
+def test_bounds_n_past_the_largest_float_exits_one():
+    proc = run_cli("bounds", "--n", str(10**400))
+    assert proc.returncode == 1
+    assert proc.stderr == "iidtest bounds: n is past the largest float, 1.79769e+308\n"
+
+
+def test_log_cn_and_stirling_factor_past_the_largest_float_raise_value_error():
+    for name, f in (("n", log_cn), ("k", stirling_factor)):
+        with pytest.raises(ValueError, match=f"^{name} is past the largest float, 1.79769e\\+308$"):
+            f(10**400)
+    assert log_cn(10**300) == pytest.approx(0.5 * math.log(2 * math.pi) + 300 * math.log(10) / 2)
 
 
 @pytest.mark.parametrize("n", [_LARGEST_K, _LARGEST_K + 1, 2**62])

@@ -1,6 +1,7 @@
 """Synthetic sources: theta construction, corruption rules, expected counts."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.special import gammaln, logsumexp
 
 from iidtest.generators import (
     GeneratorSpec,
+    _HANDS,
     _count_iid,
     _deal_counts,
     _draw_cards,
@@ -215,15 +217,55 @@ def test_sample_equals_profile_of_sample_items_edge_cases(spec, keep_first_order
 _KEYS = [0, 1, 2**63, 2**64 - 1, *range(100, 140)]
 
 
-@pytest.mark.parametrize("decks", [1, 2, 3])
+def _assert_deals_like_draw_cards(spec, offsets):
+    # each row dealt by the chunk dealer, against the one-deal shuffle
+    # drawing exactly that row
+    counts = _deal_counts(spec, offsets)
+    assert counts.shape == (len(offsets), 52)
+    for row, got in zip(offsets, counts.tolist()):
+        assert got == np.bincount(_draw_cards(spec, _FixedUniforms(row)), minlength=53)[1:].tolist()
+
+
+@pytest.mark.parametrize("decks", [1, 2, 3, 200])
 def test_deal_counts_match_draw_cards_rep_by_rep(decks):
-    for n in (0, 1, 13, 26 * decks + 1, 52 * decks - 1, 52 * decks):
+    total = 52 * decks
+    for n in (0, 1, 13, 26 * decks + 1, total - 1, total):
         spec = GeneratorSpec("cards", n=n, decks=decks)
-        offsets = np.reshape([_philox(key).random(n) for key in _KEYS], (len(_KEYS), n))
-        counts = _deal_counts(spec, offsets)
-        assert counts.shape == (len(_KEYS), 52)
-        for key, row in zip(_KEYS, counts.tolist()):
-            assert row == np.bincount(_draw_cards(spec, _philox(key)), minlength=53)[1:].tolist()
+        rows = [_philox(key).random(n) for key in _KEYS]
+        # the extreme offsets: no step moves a card, every step takes the last
+        rows += [np.zeros(n), np.full(n, np.nextafter(1.0, 0.0))]
+        _assert_deals_like_draw_cards(spec, np.reshape(rows, (len(rows), n)))
+    # one hand, two, and one past the rows reserved for a chunk
+    spec = GeneratorSpec("cards", n=52, decks=decks)
+    for hands in (1, 2, _HANDS + 1):
+        offsets = np.reshape([_philox(key).random(52) for key in range(hands)], (hands, 52))
+        _assert_deals_like_draw_cards(spec, offsets)
+
+
+def test_chunk_deal_holds_one_byte_per_card():
+    # a chunk of 1024 hands of 52 cards from 200 decks: an int64 pool
+    # tiled per hand would take 1024 * 10400 * 8 B = 85 MB by itself
+    spec = GeneratorSpec("cards", n=52, decks=200)
+    tracemalloc.start()
+    try:
+        [(rows, controls)] = _sample_multiplicities(spec, _rekeyed(range(1024)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+    assert rows.shape[0] == controls.size == 1024
+    assert (rows * np.arange(rows.shape[1])).sum(axis=1).tolist() == [52] * 1024
+
+
+def test_sample_multiplicities_deals_past_the_reserved_rows():
+    spec = GeneratorSpec("cards", n=13)
+    keys = range(2 * _HANDS + 1)
+    [(rows, controls)] = _sample_multiplicities(spec, _rekeyed(keys))
+    assert len(rows) == controls.size == len(keys)
+    for key, row, control in zip(keys, rows, controls):
+        ref = _philox(key)
+        assert {int(k): int(row[k]) for k in np.flatnonzero(row)} == sample(spec, rng=ref).multiplicities
+        assert control == ref.random()
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,10 @@ def heavy_modules_after(code: str, stdin: bytes = b"") -> list[str]:
     "import iidtest.cli",
     # the import system's own probes must not count as a first use
     "import iidtest; iidtest.__spec__, iidtest.__path__, hasattr(iidtest, '__wrapped__')",
+    # this form probes the package for each name before importing it
+    "from iidtest import cli",
+    "from iidtest import cli, counts, definitions",
+    "import iidtest; iidtest.counts",
 ])
 def test_importing_loads_neither_numpy_nor_scipy(code):
     assert heavy_modules_after(code) == []
@@ -53,4 +57,14 @@ def test_count_loads_neither_numpy_nor_scipy(flags, source, tmp_path):
     "from iidtest import *",
 ])
 def test_first_use_of_a_library_name_loads_numpy_and_scipy(code):
+    assert heavy_modules_after(code) == HEAVY
+
+
+def test_a_submodule_taken_by_name_is_that_module():
+    code = (
+        "import iidtest, iidtest.cli, iidtest.generators\n"
+        "from iidtest import cli, generators\n"
+        "assert cli is iidtest.cli and generators is iidtest.generators\n"
+        "assert generators.sample is iidtest.sample"
+    )
     assert heavy_modules_after(code) == HEAVY
