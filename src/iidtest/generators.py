@@ -149,8 +149,11 @@ def _count_iid(theta: np.ndarray, size: int, rng: np.random.Generator) -> np.nda
 
 
 def _sample_counts(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
-    """Counts of labels 1..d (1..2d for even_m) of an iid-kind spec,
-    equal to the bincount of sample_items with the same generator."""
+    """Counts of faces 1..52 of a cards spec, or of labels 1..d (1..2d
+    for even_m) of an iid-kind spec, equal to the bincount of
+    sample_items with the same generator."""
+    if spec.kind == "cards":
+        return _deal_counts(spec, rng.random((1, spec.n)))[0]
     d = spec.d
     theta = make_theta(spec.kind, d)
     if spec.corruption == "none":
@@ -204,35 +207,26 @@ def _multiplicity_rows(counts: np.ndarray) -> np.ndarray:
     return mult
 
 
-# rows of card draws reserved per chunk: the harness's chunk of reps
-_HANDS = 1024
-
-
-def _sample_multiplicities(spec: GeneratorSpec, rngs: Iterable[np.random.Generator]):
-    """Yield the multiplicity rows (m_k in column k) of the profiles the
-    spec draws from each generator in turn, with the uniform each draws
-    right after its profile (the harness's control), in blocks: one
-    block for a chunk of card deals, one row at a time for the iid kinds
-    so that no block is wider than one profile's largest count.
-
-    A generator is done with once the next is taken, so the streams of
-    _rekeyed can be passed."""
+def _sample_multiplicities(spec: GeneratorSpec, seed: int, reps: range):
+    """Yield the multiplicity rows (m_k in column k) of the profiles of
+    repetitions ``reps``, rep r drawn from a fresh Philox keyed by
+    (seed XOR r) mod 2**64, with the uniform each draws right after its
+    profile (the harness's control), in blocks: one block for all the
+    card deals, one row at a time for the iid kinds so that no block is
+    wider than one profile's largest count. One generator is re-keyed
+    for every rep."""
+    rngs = _rekeyed(seed ^ rep for rep in reps)
     if spec.kind == "cards":
         # a hand's n offsets and then its control, in one call into its
-        # row: the same doubles as random(n) followed by random(). The
-        # number of generators is not known up front: rows are reserved
-        # for a harness chunk, untouched ones cost no memory, and they
-        # double when full.
-        draws = np.empty((_HANDS, spec.n + 1))
-        hands = 0
-        for rng in rngs:
-            if hands == len(draws):
-                draws = np.concatenate([draws, np.empty_like(draws)])
-            rng.random(out=draws[hands])
-            hands += 1
-        yield _multiplicity_rows(_deal_counts(spec, draws[:hands, :-1])), draws[:hands, -1]
+        # row: the same doubles as random(n) followed by random()
+        draws = np.empty((len(reps), spec.n + 1))
+        for rng, row in zip(rngs, draws):
+            rng.random(out=row)
+        yield _multiplicity_rows(_deal_counts(spec, draws[:, :-1])), draws[:, -1]
         return
     for rng in rngs:
+        # held across the yield: freed there, malloc trims the rep's
+        # uniforms off the heap top each rep, a quarter slower at n = 1e5
         counts = _sample_counts(spec, rng)
         yield _multiplicity_rows(counts[None, :]), np.array([rng.random()])
 
@@ -258,11 +252,7 @@ def sample(
         raise ValueError("profiles keep no first-order counts; keep_first_order must be False")
     if rng is None:
         rng = _rng(spec.seed)
-    if spec.kind == "cards":
-        counts = _deal_counts(spec, rng.random((1, spec.n)))[0]
-    else:
-        counts = _sample_counts(spec, rng)
-    [mult] = _multiplicity_rows(counts[None, :])
+    [mult] = _multiplicity_rows(_sample_counts(spec, rng)[None, :])
     return CountProfile(spec.n, {int(k): int(mult[k]) for k in np.flatnonzero(mult)})
 
 

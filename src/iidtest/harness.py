@@ -4,16 +4,16 @@ draw, and aggregate p-value curves and multiplicity summaries.
 Reproducibility discipline: repetition r draws exactly the stream of
 a fresh ``Philox(key=(seed XOR r) mod 2**64)``, so results are a pure
 function of the config and in particular independent of how
-repetitions are distributed over workers. Each worker builds one Philox
-and re-keys it before every repetition rather than building one per
-repetition. A uniform control p-value ("u") is recorded per repetition;
+repetitions are distributed over workers. The sampler is handed each
+chunk's range of repetitions and keys every repetition itself: one
+Philox per chunk, re-keyed before every repetition rather than built
+anew. A uniform control p-value ("u") is recorded per repetition;
 its rejection curve should hug the diagonal, which catches harness
 bugs rather than test failures.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .counts import _is_int
-from .generators import GeneratorSpec, _rekeyed, _sample_multiplicities, expected_mk, reference_theta
+from .generators import GeneratorSpec, _sample_multiplicities, expected_mk, reference_theta
 from .invariants import (
     TestKind,
     TestOptions,
@@ -165,12 +165,11 @@ def _run_range(cfg: ExperimentConfig, start: int, stop: int):
     pvalues = np.empty((len(cfg.labels), stop - start))
     totals = np.zeros(1, dtype=np.int64)
     first = None
-    streams = _rekeyed(cfg.seed ^ rep for rep in range(start, stop))
     read = _suite_reads(cfg.tests, spec.n)
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
         reads, controls = [], []
-        for mult, control in _sample_multiplicities(spec, itertools.islice(streams, hi - lo)):
+        for mult, control in _sample_multiplicities(spec, cfg.seed, range(lo, hi)):
             reads.append(read(mult))
             controls.append(control)
             if mult.shape[1] > totals.size:

@@ -91,12 +91,12 @@ def stirling_factor(k: int) -> float:
 
     Lies in (0, 1) and increases to 1; the classical two-sided bracket
     exp(-1/(12k)) <= 1 - eps_k <= exp(-1/(12k+1)) is asserted on every
-    call, so a violation (only possible through a numerics regression)
-    fails loudly. Small k evaluates the defining formula through
-    log-gamma; large k switches to the remainder-bounded correction
-    series, because the bracket narrows like 1/(144 k^2) and the
-    cancellation between the O(k ln k) log terms would otherwise
-    drown it in rounding noise.
+    call, to within rounding, so a violation (only possible through a
+    numerics regression) fails loudly. Small k evaluates the defining
+    formula through log-gamma; large k switches to the
+    remainder-bounded correction series, because the bracket narrows
+    like 1/(144 k^2) and the cancellation between the O(k ln k) log
+    terms would otherwise drown it in rounding noise.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -109,7 +109,12 @@ def stirling_factor(k: int) -> float:
         assert math.exp(-1.0 / (12 * k)) <= value <= math.exp(-1.0 / (12 * k + 1))
         return value
     delta = _stirling_delta(k)
-    assert 1.0 / (12 * k + 1) <= delta <= 1.0 / (12 * k)
+    # Past k of about 1e14 the bracket, 1/(144 k^2) wide, is narrower
+    # than delta's rounding: k to a float, 1/k, 1/12 and the product
+    # each round by up to an ulp of delta, each side (an int quotient,
+    # which cannot overflow) by half of one; so 5 ulps either side.
+    slack = 5 * math.ulp(delta)
+    assert 1 / (12 * k + 1) - slack <= delta <= 1 / (12 * k) + slack
     return math.exp(-delta)
 
 
@@ -135,7 +140,10 @@ def log_cn(n: int) -> float:
     if n > sys.float_info.max:
         raise ValueError(f"n is past the largest float, {sys.float_info.max:.6g}")
     if n > _CN_SERIES_FROM:
-        return 0.5 * math.log(2.0 * math.pi * n) + _stirling_delta(n)
+        # 2 pi n overflows past the largest float / (2 pi): log n apart
+        scaled = 2.0 * math.pi * n
+        log_scaled = math.log(scaled) if scaled < math.inf else math.log(2.0 * math.pi) + math.log(n)
+        return 0.5 * log_scaled + _stirling_delta(n)
     return float(gammaln(n + 1) - n * math.log(n) + n)
 
 

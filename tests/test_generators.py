@@ -12,7 +12,6 @@ from scipy.special import gammaln, logsumexp
 
 from iidtest.generators import (
     GeneratorSpec,
-    _HANDS,
     _count_iid,
     _deal_counts,
     _draw_cards,
@@ -27,6 +26,7 @@ from iidtest.generators import (
     sample,
     sample_items,
 )
+from iidtest.harness import _CHUNK
 
 
 def test_make_theta_shapes_and_values():
@@ -152,10 +152,9 @@ def _assert_sample_matches_labels(spec, key, **sample_kwargs):
     assert profile.multiplicities == Counter(Counter(items.tolist()).values())
     following = slow_rng.random()
     assert fast_rng.random() == following
-    if spec.kind != "cards":
-        counts = _sample_counts(spec, count_rng)
-        assert np.array_equal(counts, np.bincount(items, minlength=counts.size + 1)[1:])
-        assert count_rng.random() == following
+    counts = _sample_counts(spec, count_rng)
+    assert np.array_equal(counts, np.bincount(items, minlength=counts.size + 1)[1:])
+    assert count_rng.random() == following
 
 
 _CORRUPTION_NAMES = ["none", "even_n", "even_m", "no_empty", "no_unique"]
@@ -235,9 +234,9 @@ def test_deal_counts_match_draw_cards_rep_by_rep(decks):
         # the extreme offsets: no step moves a card, every step takes the last
         rows += [np.zeros(n), np.full(n, np.nextafter(1.0, 0.0))]
         _assert_deals_like_draw_cards(spec, np.reshape(rows, (len(rows), n)))
-    # one hand, two, and one past the rows reserved for a chunk
+    # one hand, two, and one more than a harness chunk
     spec = GeneratorSpec("cards", n=52, decks=decks)
-    for hands in (1, 2, _HANDS + 1):
+    for hands in (1, 2, _CHUNK + 1):
         offsets = np.reshape([_philox(key).random(52) for key in range(hands)], (hands, 52))
         _assert_deals_like_draw_cards(spec, offsets)
 
@@ -248,7 +247,7 @@ def test_chunk_deal_holds_one_byte_per_card():
     spec = GeneratorSpec("cards", n=52, decks=200)
     tracemalloc.start()
     try:
-        [(rows, controls)] = _sample_multiplicities(spec, _rekeyed(range(1024)))
+        [(rows, controls)] = _sample_multiplicities(spec, 0, range(1024))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -257,13 +256,15 @@ def test_chunk_deal_holds_one_byte_per_card():
     assert (rows * np.arange(rows.shape[1])).sum(axis=1).tolist() == [52] * 1024
 
 
-def test_sample_multiplicities_deals_past_the_reserved_rows():
+def test_sample_multiplicities_deals_2049_reps_from_a_nonzero_rep():
+    # two chunks' worth of hands and one more, keyed from rep 1000 on:
+    # every row is the rep's own fresh Philox(seed XOR rep)
     spec = GeneratorSpec("cards", n=13)
-    keys = range(2 * _HANDS + 1)
-    [(rows, controls)] = _sample_multiplicities(spec, _rekeyed(keys))
-    assert len(rows) == controls.size == len(keys)
-    for key, row, control in zip(keys, rows, controls):
-        ref = _philox(key)
+    seed, reps = 2**63 + 5, range(1000, 1000 + 2 * _CHUNK + 1)
+    [(rows, controls)] = _sample_multiplicities(spec, seed, reps)
+    assert len(rows) == controls.size == len(reps)
+    for rep, row, control in zip(reps, rows, controls):
+        ref = _philox(seed ^ rep)
         assert {int(k): int(row[k]) for k in np.flatnonzero(row)} == sample(spec, rng=ref).multiplicities
         assert control == ref.random()
 
@@ -280,24 +281,24 @@ def test_sample_multiplicities_deals_past_the_reserved_rows():
     ],
 )
 def test_sample_multiplicities_match_sample(spec):
-    rngs = [_philox(key) for key in _KEYS]
-    for streams in (rngs, _rekeyed(_KEYS)):
-        blocks = list(_sample_multiplicities(spec, streams))
+    # rep r is keyed by (seed XOR r) mod 2**64: keys 0 up, keys with the
+    # top bit set, and seeds of either sign past 64 bits
+    for seed, reps in [
+        (0, range(44)),
+        (2**63 + 100, range(2**63 - 3, 2**63 + 41)),
+        (-(2**40) - 3, range(7, 51)),
+        (2**64 + 2**63 + 11, range(100, 144)),
+    ]:
+        blocks = list(_sample_multiplicities(spec, seed, reps))
         rows = [row for block, _ in blocks for row in block]
         follow = np.concatenate([draws for _, draws in blocks])
-        assert len(rows) == follow.size == len(_KEYS)
-        for key, row, draw in zip(_KEYS, rows, follow):
-            ref = _philox(key)
+        assert len(rows) == follow.size == len(reps)
+        for rep, row, draw in zip(reps, rows, follow):
+            ref = _philox((seed ^ rep) % 2**64)
             profile = sample(spec, rng=ref)
             assert row[0] == 0
             assert {int(k): int(row[k]) for k in np.flatnonzero(row)} == profile.multiplicities
             assert draw == ref.random()
-    # each generator passed is left where sample_items leaves it, plus one draw
-    for key, rng in zip(_KEYS, rngs):
-        ref = _philox(key)
-        sample_items(spec, rng=ref)
-        ref.random()
-        assert rng.random() == ref.random()
 
 
 _LENGTHS = [*range(10), 65, 66]

@@ -31,6 +31,8 @@ CASES = {
     "n_1e30_on_one_item": ({"n": 10**30, "m": {str(10**30): 1}}, [], 0),
     # ln c_n past int64, from Stirling's series
     "n_1e30_on_one_item_cn_on": ({"n": 10**30, "m": {str(10**30): 1}}, ["--cn", "on"], 0),
+    # ln c_n where 2 pi n is past the largest float: a certain rejection
+    "n_2_1023_cn_on": ({"n": 2**1023, "m": {"2": 2**1022}}, ["--tests", "count:2", "--cn", "on"], 2),
     "sums_past_2_63": ({"n": 4 * 10**21, "m": {"1": 2 * 10**21, "2": 10**21}}, [], 2),
     "n_0": ({"n": 0, "m": {}}, [], 0),
     "n_1": ({"n": 1, "m": {"1": 1}}, [], 0),

@@ -403,6 +403,19 @@ _REFERENCE_CONFIGS = {
         "tests": [str(kind) for kind in DEFAULT_SUITE],
         "seed": 2**64 + 2**63 + 11,
     },
+    # past one harness chunk of 1024 reps: the second chunk's keys
+    # carry on from the first's
+    "cards across a chunk boundary": {
+        "generator": {"kind": "cards", "n": 65, "decks": 2},
+        "tests": [str(kind) for kind in DEFAULT_SUITE],
+        "reps": 1100,
+    },
+    "uniform across a chunk boundary": {
+        "generator": {"kind": "uniform", "n": 1000, "d": 100},
+        "tests": [str(kind) for kind in DEFAULT_SUITE],
+        "options": {"cn": True},
+        "reps": 1100,
+    },
 }
 
 

@@ -1,6 +1,7 @@
 """Checks for the log-space probability kernels."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,27 @@ def test_stirling_factor_series_route_agrees_with_log_gamma():
         assert stirling_factor(k) == pytest.approx(direct, rel=1e-11)
 
 
+def _mp_stirling_delta(mpmath, k):
+    # ln k! - (k ln k - k + 0.5 ln(2 pi k)) to 60 digits: the working
+    # precision covers the cancellation of the O(k ln k) terms too
+    with mpmath.workdps(60 + 2 * len(str(k))):
+        k = mpmath.mpf(k)
+        return mpmath.loggamma(k + 1) - (k * mpmath.log(k) - k + mpmath.log(2 * mpmath.pi * k) / 2)
+
+
+# past k of about 1e14 the bracket is narrower than the rounding of
+# the correction; the largest float is the last k taken
+_HUGE_KS = [10**15, 10**16, 10**17, 10**20, *(10**e for e in range(30, 301, 30)), 2**1023, int(sys.float_info.max)]
+
+
+@pytest.mark.parametrize("k", _HUGE_KS)
+def test_stirling_factor_matches_a_60_digit_oracle_where_the_bracket_is_below_an_ulp(k):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        exact = float(mpmath.exp(-_mp_stirling_delta(mpmath, k)))
+    assert abs(stirling_factor(k) - exact) <= math.ulp(exact)
+
+
 def test_stirling_factor_rejects_nonpositive_k():
     with pytest.raises(ValueError):
         stirling_factor(0)
@@ -171,6 +193,33 @@ def test_log_cn_matches_a_60_digit_oracle(n):
     # the log-gamma form loses ulp(n ln n) to cancellation below the
     # switch; the series keeps a few ulps of the charge above it
     assert abs(log_cn(n) - exact) <= (1e-9 if n <= 2**20 else 4 * math.ulp(exact))
+
+
+def _cn_edge():
+    # the last float n at which 2 pi n is finite, and the next float
+    x = sys.float_info.max / (2.0 * math.pi)
+    while 2.0 * math.pi * math.nextafter(x, math.inf) < math.inf:
+        x = math.nextafter(x, math.inf)
+    while 2.0 * math.pi * x == math.inf:
+        x = math.nextafter(x, 0.0)
+    return [int(x), int(math.nextafter(x, math.inf))]
+
+
+_CN_EDGE = _cn_edge()
+
+
+@pytest.mark.parametrize("n", [10**300, *_CN_EDGE, 2**1023, int(sys.float_info.max)])
+def test_log_cn_near_the_largest_float_matches_a_60_digit_oracle(n):
+    # 2 pi n overflows past the largest float / (2 pi), where ln c_n is
+    # still only about 355
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        exact = float(mpmath.log(2 * mpmath.pi * n) / 2 + _mp_stirling_delta(mpmath, n))
+    assert abs(log_cn(n) - exact) <= 4 * math.ulp(exact)
+    if 2.0 * math.pi * n < math.inf:
+        # the bits of the one-log form wherever 2 pi n is finite (the
+        # series' correction is below an ulp of the charge at these n)
+        assert log_cn(n) == 0.5 * math.log(2.0 * math.pi * n)
 
 
 @pytest.mark.parametrize("n", [2, 200, 1000, 10**5, 2**20])
