@@ -254,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"iidtest {args.command}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except MemoryError as exc:

@@ -214,6 +214,8 @@ class CombinedResult:
 
 _KINDS = ("uniform", "linear", "cards")
 _CORRUPTIONS = ("none", "even_n", "even_m", "no_empty", "no_unique")
+# copies of every category a corruption appends after its draw
+_FILL = {"no_empty": 1, "no_unique": 2}
 
 
 @dataclass(frozen=True)
@@ -270,10 +272,9 @@ class GeneratorSpec:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.corruption in ("even_n", "even_m") and self.n % 2:
             raise ValueError(f"{self.corruption} needs even n, got {self.n}")
-        if self.corruption == "no_empty" and self.n < self.d:
-            raise ValueError("no_empty needs n >= d")
-        if self.corruption == "no_unique" and self.n < 2 * self.d:
-            raise ValueError("no_unique needs n >= 2d")
+        fill = _FILL.get(self.corruption, 0)
+        if self.n < fill * self.d:
+            raise ValueError(f"{self.corruption} needs n >= {fill if fill > 1 else ''}d")
 
 
 # the `verify` suites in the order they run; each name maps to the

@@ -7,6 +7,10 @@ the spec's 64-bit seed, so a spec determines its profile exactly and
 independent streams come from distinct keys rather than from stream
 splitting. Corrupted sources are exchangeable but not iid; they are
 what the tests are supposed to catch.
+
+A spec's items take a fixed number of uniforms, drawn in one call;
+labels, per-category counts and card deals are maps of them, so every
+path to a spec's items or profile leaves its generator in one state.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .counts import CountProfile
-from .definitions import GeneratorSpec
+from .definitions import _FILL, GeneratorSpec
 
 __all__ = [
     "GeneratorSpec",
@@ -93,17 +97,26 @@ def _rekeyed(seeds: Iterable[int]) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def _draw_iid(theta: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(theta)
-    cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(size), side="right") + 1
+def _draw_count(spec: GeneratorSpec) -> int:
+    """How many uniforms the items of a spec are drawn from: one per
+    card or iid item, before a corruption copies the draw or appends
+    its fill of every category."""
+    if spec.corruption in ("even_n", "even_m"):
+        return spec.n // 2
+    return spec.n - _FILL.get(spec.corruption, 0) * spec.d
 
 
-def _draw_cards(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
+def _edges(spec: GeneratorSpec) -> np.ndarray:
+    # label j+1 of an iid kind owns [edges[j-1], edges[j])
+    edges = np.cumsum(make_theta(spec.kind, spec.d))
+    edges[-1] = 1.0
+    return edges
+
+
+def _draw_cards(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
     pool = np.repeat(np.arange(1, 53), spec.decks)
     total = pool.size
     # partial Fisher-Yates: only the first n swaps are needed
-    offsets = rng.random(spec.n)
     for i in range(spec.n):
         j = i + int(offsets[i] * (total - i))
         pool[i], pool[j] = pool[j], pool[i]
@@ -118,59 +131,41 @@ def sample_items(spec: GeneratorSpec, rng: np.random.Generator | None = None) ->
     """
     if rng is None:
         rng = _rng(spec.seed)
+    u = rng.random(_draw_count(spec))
     if spec.kind == "cards":
-        return _draw_cards(spec, rng)
-    d = spec.d
-    if spec.corruption == "none":
-        return _draw_iid(make_theta(spec.kind, d), spec.n, rng)
-    theta = make_theta(spec.kind, d)
+        return _draw_cards(spec, u)
+    labels = np.searchsorted(_edges(spec), u, "right") + 1
     if spec.corruption == "even_n":
-        return np.repeat(_draw_iid(theta, spec.n // 2, rng), 2)
+        return np.repeat(labels, 2)
     if spec.corruption == "even_m":
-        half = _draw_iid(theta, spec.n // 2, rng)
-        return np.concatenate([half, half + d])
-    ladder = np.arange(1, d + 1)
-    if spec.corruption == "no_empty":
-        return np.concatenate([_draw_iid(theta, spec.n - d, rng), ladder])
-    return np.concatenate([_draw_iid(theta, spec.n - 2 * d, rng), np.repeat(ladder, 2)])
+        return np.concatenate([labels, labels + spec.d])
+    return np.concatenate([labels, np.repeat(np.arange(1, spec.d + 1), _FILL.get(spec.corruption, 0))])
 
 
-def _count_iid(theta: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    # Per-category counts of the labels _draw_iid would return from the
-    # same uniforms: label j+1 owns [cum[j-1], cum[j]), so counting the
-    # sorted uniforms below each edge replaces one binary search per
-    # item with one per category, and leaves the generator in the same
-    # state.
-    cum = np.cumsum(theta)
-    cum[-1] = 1.0
-    u = rng.random(size)
+def _item_counts(spec: GeneratorSpec, edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # Per-category counts of the items sample_items labels from the
+    # uniforms u: counting the sorted uniforms below each edge replaces
+    # one binary search per item with one per category. Sorts u in place.
     u.sort()
-    return np.diff(np.searchsorted(u, cum, side="left"), prepend=0)
+    counts = np.diff(np.searchsorted(u, edges, side="left"), prepend=0)
+    if spec.corruption == "even_m":
+        return np.concatenate([counts, counts])
+    return 2 * counts if spec.corruption == "even_n" else counts + _FILL.get(spec.corruption, 0)
 
 
 def _sample_counts(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
     """Counts of faces 1..52 of a cards spec, or of labels 1..d (1..2d
     for even_m) of an iid-kind spec, equal to the bincount of
     sample_items with the same generator."""
+    u = rng.random(_draw_count(spec))
     if spec.kind == "cards":
-        return _deal_counts(spec, rng.random((1, spec.n)))[0]
-    d = spec.d
-    theta = make_theta(spec.kind, d)
-    if spec.corruption == "none":
-        return _count_iid(theta, spec.n, rng)
-    if spec.corruption == "even_n":
-        return 2 * _count_iid(theta, spec.n // 2, rng)
-    if spec.corruption == "even_m":
-        half = _count_iid(theta, spec.n // 2, rng)
-        return np.concatenate([half, half])
-    if spec.corruption == "no_empty":
-        return _count_iid(theta, spec.n - d, rng) + 1
-    return _count_iid(theta, spec.n - 2 * d, rng) + 2
+        return _deal_counts(spec, u[None, :])[0]
+    return _item_counts(spec, _edges(spec), u)
 
 
 def _deal_counts(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
     """Face counts of the hands _draw_cards deals from each row of the
-    (hands x n) matrix of the n offsets it draws, one row per hand and
+    (hands x n) matrix of the n offsets it takes, one row per hand and
     faces 1..52 in columns 0..51.
 
     Every swap target is computed up front with the same float product
@@ -214,21 +209,20 @@ def _sample_multiplicities(spec: GeneratorSpec, seed: int, reps: range):
     profile (the harness's control), in blocks: one block for all the
     card deals, one row at a time for the iid kinds so that no block is
     wider than one profile's largest count. One generator is re-keyed
-    for every rep."""
+    for every rep, and the iid kinds draw every rep into one buffer."""
     rngs = _rekeyed(seed ^ rep for rep in reps)
     if spec.kind == "cards":
         # a hand's n offsets and then its control, in one call into its
         # row: the same doubles as random(n) followed by random()
-        draws = np.empty((len(reps), spec.n + 1))
+        draws = np.empty((len(reps), _draw_count(spec) + 1))
         for rng, row in zip(rngs, draws):
             rng.random(out=row)
         yield _multiplicity_rows(_deal_counts(spec, draws[:, :-1])), draws[:, -1]
         return
+    edges, u = _edges(spec), np.empty(_draw_count(spec))
     for rng in rngs:
-        # held across the yield: freed there, malloc trims the rep's
-        # uniforms off the heap top each rep, a quarter slower at n = 1e5
-        counts = _sample_counts(spec, rng)
-        yield _multiplicity_rows(counts[None, :]), np.array([rng.random()])
+        rng.random(out=u)
+        yield _multiplicity_rows(_item_counts(spec, edges, u)[None, :]), np.array([rng.random()])
 
 
 def sample(

@@ -20,11 +20,12 @@ import numpy as np
 from scipy.special import gammaln
 
 from .counts import CountProfile
-from .definitions import SUITE_NAMES
+from .definitions import _CORRUPTIONS, _FILL, SUITE_NAMES
 from .generators import (
     GeneratorSpec,
     _deal_counts,
     _draw_cards,
+    _draw_count,
     _rekeyed,
     _sample_counts,
     expected_mk,
@@ -276,24 +277,26 @@ def _check_sampler_determinism() -> tuple[bool, str]:
     if a == c:
         return False, "distinct seeds collided"
     # sample counts per category; the labelled items drawn from the
-    # same generator must give the same counts and leave it in the same state
+    # same generator must give the same counts, and every path must
+    # leave it where drawing the spec's uniforms leaves a fresh one
     cases = 0
-    for kind, corruption, (n, d) in itertools.product(
-        ("uniform", "linear"),
-        ("none", "even_n", "even_m", "no_empty", "no_unique"),
-        ((600, 1), (600, 250), (100_000, 33_333)),
-    ):
-        spec = GeneratorSpec(kind=kind, n=n, d=d, corruption=corruption)
+    sizes = ((0, 1), (0, 250), (600, 1), (600, 250), (100_000, 33_333))
+    specs = [GeneratorSpec(kind="cards", n=n, decks=decks) for n, decks in ((0, 1), (65, 2), (104, 2))]
+    for kind, corruption, (n, d) in itertools.product(("uniform", "linear"), _CORRUPTIONS, sizes):
+        # n = 0 takes the fill floor, n = d for no_empty and 2d for no_unique
+        specs.append(GeneratorSpec(kind=kind, n=max(n, _FILL.get(corruption, 0) * d), d=d, corruption=corruption))
+    for spec in specs:
         for key in (907, 2**64 - 1):
-            rngs = [np.random.Generator(np.random.Philox(key=key)) for _ in range(3)]
+            rngs = [np.random.Generator(np.random.Philox(key=key)) for _ in range(4)]
             profile = sample(spec, rng=rngs[0])
             counts = _sample_counts(spec, rngs[1])
             labelled = np.bincount(sample_items(spec, rng=rngs[2]), minlength=counts.size + 1)[1:]
+            rngs[3].random(_draw_count(spec))
             mult = Counter(labelled[labelled > 0].tolist())
             if not np.array_equal(counts, labelled) or profile.multiplicities != mult:
                 return False, f"sample differs from its items for {spec} at key {key}"
             if len({rng.random() for rng in rngs}) != 1:
-                return False, f"sample left a different generator state for {spec} at key {key}"
+                return False, f"a path to {spec} drew other than {_draw_count(spec)} uniforms at key {key}"
             cases += 1
     # one generator re-keyed per rep draws what a fresh one keyed alike
     # does, whatever the rep before left buffered: part of a block of
@@ -315,7 +318,7 @@ def _check_sampler_determinism() -> tuple[bool, str]:
             spec = GeneratorSpec(kind="cards", n=n, decks=decks)
             offsets = np.reshape([rng.random(n) for rng in _rekeyed(keys)], (len(keys), n))
             for key, row in zip(keys, _deal_counts(spec, offsets)):
-                ref = np.random.Generator(np.random.Philox(key=key))
+                ref = np.random.Generator(np.random.Philox(key=key)).random(n)
                 if not np.array_equal(row, np.bincount(_draw_cards(spec, ref), minlength=53)[1:]):
                     return False, f"chunk deal differs from one deal for {spec} at key {key}"
             cases += 1

@@ -1,12 +1,21 @@
-"""End-to-end CLI checks through subprocess, exit codes included."""
+"""End-to-end CLI checks through subprocess, exit codes included, and a
+fuzz of the exit-code contract through `cli.main` in-process."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iidtest.cli import main
 from iidtest.numerics import log_cn, stirling_factor
 
 DOUBLED = json.dumps({"n": 1000, "m": {"2": 500}})
@@ -351,6 +360,29 @@ def test_power_too_large_to_allocate_exits_one(tmp_path):
     assert not out.exists()
 
 
+_PAST_A_DOUBLE = str(10**400)
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--kind", "uniform", "--n", "300", "--d", _PAST_A_DOUBLE],
+    ["simulate", "--kind", "uniform", "--n", "300", "--d", _PAST_A_DOUBLE, "--emit", "items"],
+    ["simulate", "--kind", "cards", "--n", "3", "--decks", _PAST_A_DOUBLE],
+    ["simulate", "--kind", "cards", "--n", "3", "--decks", _PAST_A_DOUBLE, "--emit", "items"],
+    ["power", {"kind": "uniform", "n": 10, "d": 10**400}, "--workers", "1"],
+    ["power", {"kind": "cards", "n": 10, "decks": 10**400}, "--workers", "2"],
+])
+def test_a_size_past_every_machine_number_exits_one(args, tmp_path):
+    # d or decks of 10**400 overflow a double or a C long on the way
+    # to numpy: one line and exit 1, where they ended in a traceback
+    if args[0] == "power":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generator": args[1], "tests": ["even"], "reps": 3}))
+        args = ["power", "--config", str(cfg), "--output", str(tmp_path / "out"), *args[2:]]
+    proc = run_cli(*args)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"iidtest {args[0]}: ") and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize(
     "entry",
@@ -462,3 +494,169 @@ def test_usage_errors_exit_one():
     assert run_cli("verify", "--suite", "nonsense").returncode == 1
     assert run_cli("count", "--frob").returncode == 1
     assert run_cli().returncode == 1
+
+
+
+# The CLI contract under random input: argv, profile documents and
+# config documents drawn at random, most of them well formed with one
+# field or flag spoiled, run in-process. Every case must exit 0, 1 or 2
+# and print no traceback. Sizes stay small (n and d in the hundreds, at
+# most 50 decks and 30 reps, at most two workers), so no case allocates
+# more than a few MB.
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats()
+    | st.text(max_size=6) | st.sampled_from([2**53, 2**63, 10**30, 10**400]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _spoil(doc, data):
+    # replace or add one field, at any depth of nested objects and lists
+    spoiled = list(doc) if isinstance(doc, list) else dict(doc)
+    key = data.draw(st.sampled_from(range(len(doc)) if isinstance(doc, list) else [*doc, "extra"]))
+    inner = spoiled.get(key) if isinstance(spoiled, dict) else spoiled[key]
+    if inner and isinstance(inner, (dict, list)) and data.draw(st.booleans()):
+        spoiled[key] = _spoil(inner, data)
+    else:
+        spoiled[key] = data.draw(_JUNK)
+    return spoiled
+
+
+@st.composite
+def _document(draw, documents):
+    # the text of a well-formed document half of the time, else of one
+    # with a field spoiled, of JSON junk, or of no JSON at all
+    doc, kind = draw(documents), draw(st.integers(0, 7))
+    if kind < 4:
+        return json.dumps(doc)
+    if kind < 7:
+        return json.dumps(_spoil(doc, draw(st.data())) if kind < 6 else draw(_JUNK))
+    return draw(st.text(max_size=20))
+
+
+_M = st.dictionaries(st.integers(1, 60), st.integers(1, 40), max_size=4)
+_PROFILE = _M.map(lambda m: {"n": sum(k * c for k, c in m.items()), "m": {str(k): c for k, c in m.items()}})
+_TOKENS = ["even", "odd", "count:2", "count:3", "slope:2", "slopelower:2", "curv:2", "logcurv:2"]
+_TEST_LIST = st.lists(st.sampled_from(_TOKENS + ["logcurv:1", "count:0", "count:x", "curv", "nope:2"]),
+                      min_size=1, max_size=4)
+_OPTIONS = st.fixed_dictionaries({}, optional={
+    "mode": st.sampled_from(["poisson", "multinomial"]),
+    "cn": st.booleans(),
+    "variance": st.sampled_from(["empirical", "theoretical", "auto"]),
+    "pvalue": st.sampled_from(["gaussian", "bernstein"]),
+})
+_GENERATOR = st.one_of(
+    st.builds(lambda kind, d, corruption, extra: {"kind": kind, "n": 2 * (d + extra), "d": d, "corruption": corruption},
+              st.sampled_from(["uniform", "linear"]), st.integers(1, 60),
+              st.sampled_from(["none", "even_n", "even_m", "no_empty", "no_unique"]), st.integers(0, 100)),
+    st.builds(lambda decks, n: {"kind": "cards", "n": min(n, 52 * decks), "decks": decks},
+              st.integers(1, 3), st.integers(0, 156)),
+)
+_CONFIG = st.fixed_dictionaries(
+    {
+        "generator": _GENERATOR,
+        "tests": st.lists(st.sampled_from(_TOKENS) | st.builds(lambda kind, opts: {**opts, "kind": kind},
+                                                                  st.sampled_from(_TOKENS), _OPTIONS),
+                          min_size=1, max_size=4),
+        "reps": st.integers(1, 30),
+    },
+    optional={
+        "options": _OPTIONS,
+        "alpha_grid": st.lists(st.floats(0.01, 0.5), min_size=1, max_size=3),
+        "alpha_star": st.floats(0.01, 0.5),
+        "seed": st.integers(0, 2**64 - 1),
+        "assert_validity": st.booleans(),
+    },
+)
+_INT_TEXT = st.one_of(
+    st.integers(0, 300).map(str), st.integers(-3, 300).map(str),
+    st.sampled_from(["1e3", "", "x", str(2**70), str(10**400)]),
+)
+# flag -> value strategy, None for a switch
+_FLAGS = {
+    "count": {"--hashed": None},
+    "test": {
+        "--tests": _TEST_LIST.map(",".join),
+        "--mode": st.sampled_from(["poisson", "multinomial", "x"]),
+        "--cn": st.sampled_from(["on", "off", "x"]),
+        "--variance": st.sampled_from(["empirical", "theoretical", "auto", "x"]),
+        "--alpha": st.floats().map(repr) | st.sampled_from(["0.05", "x"]),
+        "--no-correction": None,
+    },
+    "simulate": {
+        "--kind": st.sampled_from(["uniform", "linear", "cards", "x"]),
+        "--n": _INT_TEXT,
+        "--d": _INT_TEXT,
+        "--corruption": st.sampled_from(["none", "even_n", "even_m", "no_empty", "no_unique", "x"]),
+        "--decks": st.integers(-1, 50).map(str) | st.just("x"),
+        "--emit": st.sampled_from(["items", "profile", "x"]),
+        "--seed": st.integers(-(2**70), 2**70).map(str) | st.just("x"),
+    },
+    "power": {
+        "--workers": st.sampled_from(["2", "1", "0", "-1", "x"]),
+        "--seed": st.integers(-(2**70), 2**70).map(str) | st.just("x"),
+    },
+    "bounds": {
+        "--n": _INT_TEXT | st.sampled_from([str(2**1023), str(2**1030)]),
+        "--kind": st.lists(st.sampled_from(["even", " odd", "count", "slope", "curv ", "logcurv", "x", ""]),
+                           max_size=3).map(",".join),
+        "--k": st.lists(_INT_TEXT, max_size=3).map(",".join),
+        "--mode": st.sampled_from(["poisson", "multinomial", "x"]),
+    },
+    # only the quick suites: the others check fixed inputs and take seconds
+    "verify": {"--suite": st.sampled_from(["stirling", "normal-tail", "cn-factor", "central-binomial", "x"])},
+    "nope": {},
+}
+# drawn seven times in eight (verify's always, so it never runs every suite)
+_REQUIRED = {"simulate": ["--kind", "--n", "--d"], "bounds": ["--n"], "verify": ["--suite"]}
+
+
+@st.composite
+def _cli_cases(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    # @out stands for the output path; an unknown flag comes one time in eight
+    flags = {**_FLAGS[command], "--output": st.just("@out"), "--bogus": st.just("@out")}
+    chosen = [flag for flag in _REQUIRED.get(command, []) if command == "verify" or draw(st.integers(0, 7)) < 7]
+    chosen += draw(st.lists(st.sampled_from(sorted(set(flags) - set(chosen) - {"--bogus"})), unique=True, max_size=4))
+    chosen += ["--bogus"] if draw(st.integers(0, 7)) == 7 else []
+    argv = [command]
+    for flag in chosen:
+        argv += [flag] if flags[flag] is None else [flag, draw(flags[flag])]
+    files = {
+        "items": draw(st.binary(max_size=200)),
+        "profile": draw(_document(_PROFILE)).encode(),
+        "config": draw(_document(_CONFIG)).encode(),
+    }
+    if command in ("count", "test"):
+        argv.insert(1, "@items" if command == "count" else "@profile")
+    elif command == "power":
+        argv += ["--config", "@config"]
+    return argv, files, draw(st.sampled_from(["file", "dir", "missing"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cli_cases())
+def test_cli_exits_0_1_or_2_without_a_traceback(case):
+    argv, files, output = case
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, blob in files.items():
+            (root / name).write_bytes(blob)
+        out = {"file": root / "out", "dir": root, "missing": root / "no" / "such" / "out"}[output]
+        paths = {f"@{name}": root / name for name in files}
+        argv = [str(paths.get(arg, out if arg == "@out" else arg)) for arg in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        # power without --output writes its tables to the working directory
+        os.chdir(root)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

@@ -12,10 +12,10 @@ from scipy.special import gammaln, logsumexp
 
 from iidtest.generators import (
     GeneratorSpec,
-    _count_iid,
     _deal_counts,
     _draw_cards,
-    _draw_iid,
+    _edges,
+    _item_counts,
     _listed,
     _rekeyed,
     _sample_counts,
@@ -141,20 +141,31 @@ def _philox(key):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# the uniforms a spec's items take, as GeneratorSpec documents each corruption
+_UNIFORMS = {
+    "none": lambda n, d: n,
+    "even_n": lambda n, d: n // 2,
+    "even_m": lambda n, d: n // 2,
+    "no_empty": lambda n, d: n - d,
+    "no_unique": lambda n, d: n - 2 * d,
+}
+
+
 def _assert_sample_matches_labels(spec, key, **sample_kwargs):
     # sample counts per category; sample_items labels every item from
-    # the same uniforms, so the counts, the profiles and the next draw
-    # must agree
-    fast_rng, count_rng, slow_rng = _philox(key), _philox(key), _philox(key)
+    # the same uniforms, so the counts and the profiles must agree, and
+    # each path must leave its generator where a fresh one stands after
+    # drawing exactly the spec's uniforms
+    fast_rng, count_rng, slow_rng, drawn = (_philox(key) for _ in range(4))
     items = sample_items(spec, rng=slow_rng)
     profile = sample(spec, rng=fast_rng, **sample_kwargs)
     assert profile.n == items.size == spec.n
     assert profile.multiplicities == Counter(Counter(items.tolist()).values())
-    following = slow_rng.random()
-    assert fast_rng.random() == following
     counts = _sample_counts(spec, count_rng)
     assert np.array_equal(counts, np.bincount(items, minlength=counts.size + 1)[1:])
-    assert count_rng.random() == following
+    drawn.random(_UNIFORMS[spec.corruption](spec.n, spec.d))
+    for rng in (fast_rng, count_rng, slow_rng):
+        assert _listed(rng.bit_generator.state) == _listed(drawn.bit_generator.state)
 
 
 _CORRUPTION_NAMES = ["none", "even_n", "even_m", "no_empty", "no_unique"]
@@ -199,6 +210,13 @@ def test_sample_equals_profile_of_sample_items_at_scale(kind, corruption):
         GeneratorSpec("cards", n=0),
         GeneratorSpec("cards", n=1, decks=3),
         GeneratorSpec("cards", n=104, decks=2),
+        # every iid kind and corruption at n = 0, or at its fill floor
+        # n = d (no_empty) or n = 2d (no_unique)
+        *(
+            GeneratorSpec(kind, n={"no_empty": 4, "no_unique": 8}.get(corruption, 0), d=4, corruption=corruption)
+            for kind in ("uniform", "linear")
+            for corruption in _CORRUPTION_NAMES
+        ),
     ],
 )
 @pytest.mark.parametrize("keep_first_order", [True, False])
@@ -222,7 +240,7 @@ def _assert_deals_like_draw_cards(spec, offsets):
     counts = _deal_counts(spec, offsets)
     assert counts.shape == (len(offsets), 52)
     for row, got in zip(offsets, counts.tolist()):
-        assert got == np.bincount(_draw_cards(spec, _FixedUniforms(row)), minlength=53)[1:].tolist()
+        assert got == np.bincount(_draw_cards(spec, row), minlength=53)[1:].tolist()
 
 
 @pytest.mark.parametrize("decks", [1, 2, 3, 200])
@@ -357,22 +375,21 @@ def test_rekeyed_generator_draws_what_a_fresh_one_does_at_each_length(length):
         assert rng.integers(2**32, dtype=np.uint32) == ref.integers(2**32, dtype=np.uint32)
 
 
-class _FixedUniforms:
-    def __init__(self, values):
-        self.values = np.array(values, dtype=float)
-
-    def random(self, size):
-        assert size == self.values.size
-        return self.values.copy()
-
-
-def test_count_iid_puts_edge_uniforms_where_labels_do():
-    # label j+1 owns [cum[j-1], cum[j]): a uniform on an edge goes up
-    theta = np.array([0.25, 0.25, 0.5])
-    u = [0.0, 0.25, 0.5, np.nextafter(0.5, 0.0), 0.75, 0.25, np.nextafter(1.0, 0.0)]
-    labels = _draw_iid(theta, len(u), _FixedUniforms(u))
-    counts = _count_iid(theta, len(u), _FixedUniforms(u))
-    assert counts.tolist() == np.bincount(labels, minlength=4)[1:].tolist() == [1, 3, 3]
+@pytest.mark.parametrize("kind", ["uniform", "linear"])
+def test_item_counts_put_edge_uniforms_where_labels_do(kind):
+    # label j+1 owns [edges[j-1], edges[j]): a uniform on an edge goes up
+    e0, e1, e2, _ = _edges(GeneratorSpec(kind, n=0, d=4))
+    u = [np.nextafter(1.0, 0.0), e0, 0.0, e2, e1, np.nextafter(e1, 0.0), e0]
+    drawn = np.array([1, 3, 1, 2])  # labels 4, 2, 1, 4, 3, 2, 2
+    for corruption, n, want in [
+        ("none", 7, drawn),
+        ("even_n", 14, 2 * drawn),
+        ("even_m", 14, [*drawn, *drawn]),
+        ("no_empty", 11, drawn + 1),
+        ("no_unique", 15, drawn + 2),
+    ]:
+        spec = GeneratorSpec(kind, n=n, d=4, corruption=corruption)
+        assert _item_counts(spec, _edges(spec), np.array(u)).tolist() == list(want)
 
 
 def test_sample_first_order_of_even_m_spans_fresh_labels():

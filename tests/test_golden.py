@@ -1,5 +1,5 @@
-"""`iidtest test` reports, every ``--help`` and two usage errors pinned
-byte for byte.
+"""`iidtest test` reports, `iidtest simulate` output, every ``--help``
+and two usage errors pinned byte for byte.
 
 Each report case runs the command on one profile document and compares
 its stdout with the file ``golden/<case>.json`` and its exit code with
@@ -66,6 +66,28 @@ def test_test_report_is_pinned(case, tmp_path, capsys):
     code, out = run(case, tmp_path, capsys)
     assert out.encode() == (GOLDEN / f"{case}.json").read_bytes()
     assert code == CASES[case][2]
+
+
+# case -> simulate flags, each run with --emit items (golden
+# simulate_<case>_items.txt) and --emit profile (simulate_<case>_profile.json);
+# every one exits 0 with nothing on stderr
+SIMULATE_CASES = {
+    "cards_n65_decks2_seed3": ["--kind", "cards", "--n", "65", "--decks", "2", "--seed", "3"],
+    "cards_n104_decks2": ["--kind", "cards", "--n", "104", "--decks", "2"],
+    "cards_n0": ["--kind", "cards", "--n", "0"],
+    **{f"{kind}_{corruption}": ["--kind", kind, "--n", "40", "--d", "10", "--corruption", corruption, "--seed", "4"]
+       for kind in ("uniform", "linear")
+       for corruption in ("none", "even_n", "even_m", "no_empty", "no_unique")},
+}
+
+
+@pytest.mark.parametrize("emit, suffix", [("items", "txt"), ("profile", "json")])
+@pytest.mark.parametrize("case", list(SIMULATE_CASES))
+def test_simulate_output_is_pinned(case, emit, suffix, capsys):
+    code = main(["simulate", *SIMULATE_CASES[case], "--emit", emit])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out.encode() == (GOLDEN / f"simulate_{case}_{emit}.{suffix}").read_bytes()
 
 
 # case -> argv; help goes to stdout with exit 0, a usage error to stderr with exit 1
