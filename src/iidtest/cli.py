@@ -92,7 +92,6 @@ def _cmd_test(args) -> int:
             "reject": bool(rejected),
             "rejected_by": [str(r.kind) for r in rejected],
         }
-        reject = bool(rejected)
     else:
         outcome = combine_bonferroni(results, args.alpha)
         combined = {
@@ -102,14 +101,13 @@ def _cmd_test(args) -> int:
             "source": str(outcome.source),
             "reject": outcome.reject,
         }
-        reject = bool(outcome.reject)
     doc = {
         "n": profile.n,
         "results": [r.to_dict() for r in results],
         "combined": combined,
     }
     _write_text(json.dumps(doc, indent=2) + "\n", args.output)
-    return _REJECT_EXIT if reject else 0
+    return _REJECT_EXIT if combined["reject"] else 0
 
 
 def _cmd_simulate(args) -> int:
@@ -254,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"iidtest {args.command}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except MemoryError as exc:

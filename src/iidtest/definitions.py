@@ -215,7 +215,7 @@ class CombinedResult:
 _KINDS = ("uniform", "linear", "cards")
 _CORRUPTIONS = ("none", "even_n", "even_m", "no_empty", "no_unique")
 # copies of every category a corruption appends after its draw
-_FILL = {"no_empty": 1, "no_unique": 2}
+_FILL = {"none": 0, "even_n": 0, "even_m": 0, "no_empty": 1, "no_unique": 2}
 
 
 @dataclass(frozen=True)
@@ -259,8 +259,9 @@ class GeneratorSpec:
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
         if self.kind == "cards":
-            if self.decks < 1:
-                raise ValueError(f"decks must be >= 1, got {self.decks}")
+            # the swap that deals a card is a double product, exact up to 2**53
+            if not 1 <= 52 * self.decks <= 2**53:
+                raise ValueError(f"decks must be in 1..2**53/52, got {self.decks}")
             if self.corruption != "none":
                 raise ValueError("cards supports no corruption")
             if self.n > 52 * self.decks:
@@ -268,11 +269,11 @@ class GeneratorSpec:
                     f"cannot draw {self.n} cards from {52 * self.decks}"
                 )
             return
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        if not 1 <= self.d <= 2**53:
+            raise ValueError(f"d must be in 1..2**53, got {self.d}")
         if self.corruption in ("even_n", "even_m") and self.n % 2:
             raise ValueError(f"{self.corruption} needs even n, got {self.n}")
-        fill = _FILL.get(self.corruption, 0)
+        fill = _FILL[self.corruption]
         if self.n < fill * self.d:
             raise ValueError(f"{self.corruption} needs n >= {fill if fill > 1 else ''}d")
 

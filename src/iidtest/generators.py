@@ -103,7 +103,7 @@ def _draw_count(spec: GeneratorSpec) -> int:
     its fill of every category."""
     if spec.corruption in ("even_n", "even_m"):
         return spec.n // 2
-    return spec.n - _FILL.get(spec.corruption, 0) * spec.d
+    return spec.n - _FILL[spec.corruption] * spec.d
 
 
 def _edges(spec: GeneratorSpec) -> np.ndarray:
@@ -139,7 +139,7 @@ def sample_items(spec: GeneratorSpec, rng: np.random.Generator | None = None) ->
         return np.repeat(labels, 2)
     if spec.corruption == "even_m":
         return np.concatenate([labels, labels + spec.d])
-    return np.concatenate([labels, np.repeat(np.arange(1, spec.d + 1), _FILL.get(spec.corruption, 0))])
+    return np.concatenate([labels, np.repeat(np.arange(1, spec.d + 1), _FILL[spec.corruption])])
 
 
 def _item_counts(spec: GeneratorSpec, edges: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -150,7 +150,9 @@ def _item_counts(spec: GeneratorSpec, edges: np.ndarray, u: np.ndarray) -> np.nd
     counts = np.diff(np.searchsorted(u, edges, side="left"), prepend=0)
     if spec.corruption == "even_m":
         return np.concatenate([counts, counts])
-    return 2 * counts if spec.corruption == "even_n" else counts + _FILL.get(spec.corruption, 0)
+    if spec.corruption == "even_n":
+        return 2 * counts
+    return counts + _FILL[spec.corruption]
 
 
 def _sample_counts(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:

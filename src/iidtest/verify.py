@@ -284,7 +284,7 @@ def _check_sampler_determinism() -> tuple[bool, str]:
     specs = [GeneratorSpec(kind="cards", n=n, decks=decks) for n, decks in ((0, 1), (65, 2), (104, 2))]
     for kind, corruption, (n, d) in itertools.product(("uniform", "linear"), _CORRUPTIONS, sizes):
         # n = 0 takes the fill floor, n = d for no_empty and 2d for no_unique
-        specs.append(GeneratorSpec(kind=kind, n=max(n, _FILL.get(corruption, 0) * d), d=d, corruption=corruption))
+        specs.append(GeneratorSpec(kind=kind, n=max(n, _FILL[corruption] * d), d=d, corruption=corruption))
     for spec in specs:
         for key in (907, 2**64 - 1):
             rngs = [np.random.Generator(np.random.Philox(key=key)) for _ in range(4)]

@@ -370,10 +370,13 @@ _PAST_A_DOUBLE = str(10**400)
     ["simulate", "--kind", "cards", "--n", "3", "--decks", _PAST_A_DOUBLE, "--emit", "items"],
     ["power", {"kind": "uniform", "n": 10, "d": 10**400}, "--workers", "1"],
     ["power", {"kind": "cards", "n": 10, "decks": 10**400}, "--workers", "2"],
+    ["simulate", "--kind", "cards", "--n", "3", "--decks", str(2**62), "--emit", "items"],
+    ["power", {"kind": "cards", "n": 3, "decks": 2**56}, "--workers", "1"],
 ])
 def test_a_size_past_every_machine_number_exits_one(args, tmp_path):
-    # d or decks of 10**400 overflow a double or a C long on the way
-    # to numpy: one line and exit 1, where they ended in a traceback
+    # d or decks of 10**400 overflowed a double or a C long on the way
+    # to numpy, and a pool of 52 * 2**62 cards (or 3 hands of 52 * 2**56)
+    # wrapped its int64 size: the spec now rejects them, one line and exit 1
     if args[0] == "power":
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"generator": args[1], "tests": ["even"], "reps": 3}))
@@ -501,11 +504,12 @@ def test_usage_errors_exit_one():
 # config documents drawn at random, most of them well formed with one
 # field or flag spoiled, run in-process. Every case must exit 0, 1 or 2
 # and print no traceback. Sizes stay small (n and d in the hundreds, at
-# most 50 decks and 30 reps, at most two workers), so no case allocates
-# more than a few MB.
+# most 50 decks and 30 reps, at most two workers, junk integers within
+# 1000 of 0), so no case allocates more than a few MB; the few junk
+# sizes past that are past any memory too, and fail at once.
 
 _JUNK = st.recursive(
-    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats()
+    st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats()
     | st.text(max_size=6) | st.sampled_from([2**53, 2**63, 10**30, 10**400]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,

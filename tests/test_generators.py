@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import types
 from collections import Counter
 
 import numpy as np
@@ -69,6 +70,15 @@ def test_spec_validation():
         GeneratorSpec("cards", n=105, decks=2)
     with pytest.raises(ValueError):
         GeneratorSpec("cards", n=10, decks=0)
+    # sizes up to where a double counts exactly, 2**53 categories or cards
+    GeneratorSpec("uniform", n=0, d=2**53)
+    GeneratorSpec("cards", n=0, decks=2**53 // 52)
+    with pytest.raises(ValueError):
+        GeneratorSpec("uniform", n=0, d=2**53 + 1)
+    with pytest.raises(ValueError):
+        GeneratorSpec("cards", n=0, decks=2**53 // 52 + 1)
+    # so the chunk dealer's pool, every card of every hand, has an int64 size
+    assert 52 * (2**53 // 52) * _CHUNK < 2**63
 
 
 def test_even_n_corruption_doubles_every_count():
@@ -376,11 +386,14 @@ def test_rekeyed_generator_draws_what_a_fresh_one_does_at_each_length(length):
 
 
 @pytest.mark.parametrize("kind", ["uniform", "linear"])
-def test_item_counts_put_edge_uniforms_where_labels_do(kind):
-    # label j+1 owns [edges[j-1], edges[j]): a uniform on an edge goes up
+def test_edge_uniforms_go_up_a_label_in_items_and_counts(kind):
+    # label j+1 owns [edges[j-1], edges[j]): a uniform on an edge goes up,
+    # in the labels sample_items draws and in the counts _item_counts takes
     e0, e1, e2, _ = _edges(GeneratorSpec(kind, n=0, d=4))
     u = [np.nextafter(1.0, 0.0), e0, 0.0, e2, e1, np.nextafter(e1, 0.0), e0]
     drawn = np.array([1, 3, 1, 2])  # labels 4, 2, 1, 4, 3, 2, 2
+    edge_draw = types.SimpleNamespace(random=lambda size: np.array(u))
+    assert sample_items(GeneratorSpec(kind, n=7, d=4), rng=edge_draw).tolist() == [4, 2, 1, 4, 3, 2, 2]
     for corruption, n, want in [
         ("none", 7, drawn),
         ("even_n", 14, 2 * drawn),
@@ -390,6 +403,7 @@ def test_item_counts_put_edge_uniforms_where_labels_do(kind):
     ]:
         spec = GeneratorSpec(kind, n=n, d=4, corruption=corruption)
         assert _item_counts(spec, _edges(spec), np.array(u)).tolist() == list(want)
+        assert np.bincount(sample_items(spec, rng=edge_draw), minlength=len(want) + 1)[1:].tolist() == list(want)
 
 
 def test_sample_first_order_of_even_m_spans_fresh_labels():
