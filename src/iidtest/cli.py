@@ -83,6 +83,9 @@ def _cmd_test(args) -> int:
     kinds = [parse_kind(tok) for tok in args.tests.split(",") if tok.strip()]
     if not kinds:
         raise ValueError("empty test list")
+    if len(set(kinds)) != len(kinds):
+        # a repeat would count twice in the Bonferroni factor
+        raise ValueError("duplicate test kinds in suite")
     results = _run_suite(tuple((kind, opts) for kind in kinds), profile)
     if args.no_correction:
         rejected = [r for r in results if r.p <= args.alpha]

@@ -113,16 +113,6 @@ def _edges(spec: GeneratorSpec) -> np.ndarray:
     return edges
 
 
-def _draw_cards(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
-    pool = np.repeat(np.arange(1, 53), spec.decks)
-    total = pool.size
-    # partial Fisher-Yates: only the first n swaps are needed
-    for i in range(spec.n):
-        j = i + int(offsets[i] * (total - i))
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[: spec.n].copy()
-
-
 def sample_items(spec: GeneratorSpec, rng: np.random.Generator | None = None) -> np.ndarray:
     """The raw item sequence (integer labels) a spec generates.
 
@@ -133,7 +123,7 @@ def sample_items(spec: GeneratorSpec, rng: np.random.Generator | None = None) ->
         rng = _rng(spec.seed)
     u = rng.random(_draw_count(spec))
     if spec.kind == "cards":
-        return _draw_cards(spec, u)
+        return np.add(_deal(spec, u[None, :])[:, 0], 1, dtype=np.int64)
     labels = np.searchsorted(_edges(spec), u, "right") + 1
     if spec.corruption == "even_n":
         return np.repeat(labels, 2)
@@ -165,17 +155,17 @@ def _sample_counts(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
     return _item_counts(spec, _edges(spec), u)
 
 
-def _deal_counts(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
-    """Face counts of the hands _draw_cards deals from each row of the
-    (hands x n) matrix of the n offsets it takes, one row per hand and
-    faces 1..52 in columns 0..51.
+def _deal(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
+    """The faces 0..51 a partial Fisher-Yates shuffle of the pool of
+    52 * decks cards deals from each row of the (hands x n) matrix of
+    offsets, one column per hand: swap step i exchanges position i with
+    position i + int(offset_i * (52 * decks - i)).
 
-    Every swap target is computed up front with the same float product
-    and truncation as _draw_cards, as a flat index into one int8 pool
-    of faces 0..51 held position-major (position p of hand h at
-    p * hands + h). Step i then swaps across all hands at once: gather
-    the targets, scatter row i onto them, and copy the gathered faces
-    into row i, which no later step touches."""
+    Every swap target is computed up front, as a flat index into one
+    int8 pool of faces 0..51 held position-major (position p of hand h
+    at p * hands + h). Step i then swaps across all hands at once:
+    gather the targets, scatter row i onto them, and copy the gathered
+    faces into row i, which no later step touches."""
     n, total = spec.n, 52 * spec.decks
     hands = len(offsets)
     steps, hand = np.arange(n)[:, None], np.arange(hands)
@@ -190,8 +180,15 @@ def _deal_counts(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
         drawn = pool[flat]
         pool[flat] = row
         row[:] = drawn
-    # the spent targets take each dealt face's bin, face + 52 * hand
-    dealt = np.add(pool[: n * hands].reshape(n, hands), 52 * hand, out=targets)
+    return pool[: n * hands].reshape(n, hands)
+
+
+def _deal_counts(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
+    """Face counts of the hands _deal deals from the rows of offsets,
+    one row per hand and faces 1..52 in columns 0..51."""
+    hands = len(offsets)
+    # each dealt face takes its hand's bin, face + 52 * hand
+    dealt = _deal(spec, offsets) + 52 * np.arange(hands)
     return np.bincount(dealt.ravel(), minlength=52 * hands).reshape(hands, 52)
 
 

@@ -165,12 +165,11 @@ def _run_range(cfg: ExperimentConfig, start: int, stop: int):
     pvalues = np.empty((len(cfg.labels), stop - start))
     totals = np.zeros(1, dtype=np.int64)
     first = None
-    read = _suite_reads(cfg.tests, spec.n)
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
         reads, controls = [], []
         for mult, control in _sample_multiplicities(spec, cfg.seed, range(lo, hi)):
-            reads.append(read(mult))
+            reads.append(_suite_reads(cfg.tests, spec.n, mult))
             controls.append(control)
             if mult.shape[1] > totals.size:
                 totals = np.pad(totals, (0, mult.shape[1] - totals.size))

@@ -382,43 +382,17 @@ def _log_moments(n: int, reads: np.ndarray) -> tuple:
     return 2.0 * logs[1] - logs[0] - logs[2], var, float(n * n) * var
 
 
-def _suite_reads(
-    tests: tuple[tuple[TestKind, TestOptions], ...], n: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """A reader of profiles of size n: it takes a block of multiplicity
-    rows (m_k in column k) and returns the reads of _read_weights for
-    each test in suite order, one row per profile, as exact int64 sums.
-    The k-indexed reads are one integer product of the m_j up to the
-    largest k + 1 with weights set up once; even and odd sum over the
-    counts present in the block. Only these integers are kept, so
-    nothing grows with the largest count."""
-    # no count passes n, and no k-indexed read passes the largest k + 1
-    top = min(n + 1, max((kind.k + 1 for kind, _ in tests if kind.k is not None), default=-1)) + 1
-    weights = np.zeros((top, sum(3 if kind.family == "logcurv" else 2 for kind, _ in tests)), dtype=np.int64)
-    parity = []  # (first read column, kind, mode) of each even or odd test
-    c = 0
-    for kind, opts in tests:
-        if kind.k is None:
-            parity.append((c, kind, opts.mode))
-        for read in _read_weights(kind, opts.mode, n, ()):
-            for j, w in read.items():
-                if j < top:
-                    weights[j, c] = w  # read c weighs m_j by w
-            c += 1
-
-    def read(mult: np.ndarray) -> np.ndarray:
-        # m_j past the profiles' largest count are 0
-        width = min(mult.shape[1], top)
-        out = mult[:, :width] @ weights[:width]
-        if parity:
-            ks = np.flatnonzero(mult.any(axis=0)).tolist()
-        for c, kind, mode in parity:
-            reads = _read_weights(kind, mode, n, ks)
-            w = np.array([list(r.values()) for r in reads], dtype=np.int64).reshape(len(reads), -1)
-            out[:, c : c + len(reads)] = mult[:, list(reads[0])] @ w.T
-        return out
-
-    return read
+def _suite_reads(tests: tuple[tuple[TestKind, TestOptions], ...], n: int, mult: np.ndarray) -> np.ndarray:
+    """The reads of _read_weights for each test in suite order on a
+    block of multiplicity rows (m_k in column k) of profiles of size n,
+    one row per profile, as exact int64 sums: one integer product of
+    the m_j at the counts j present in the block, the only m_j any read
+    can find nonzero. Only these integers are kept, so nothing grows
+    with the largest count."""
+    present = np.flatnonzero(mult.any(axis=0)).tolist()
+    reads = [read for kind, opts in tests for read in _read_weights(kind, opts.mode, n, present)]
+    weights = np.array([[read.get(j, 0) for read in reads] for j in present], dtype=np.int64)
+    return mult[:, present] @ weights.reshape(len(present), len(reads))
 
 
 def _suite_results(

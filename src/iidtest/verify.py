@@ -23,8 +23,7 @@ from .counts import CountProfile
 from .definitions import _CORRUPTIONS, _FILL, SUITE_NAMES
 from .generators import (
     GeneratorSpec,
-    _deal_counts,
-    _draw_cards,
+    _deal,
     _draw_count,
     _rekeyed,
     _sample_counts,
@@ -268,6 +267,19 @@ def _check_brute_force_d2() -> tuple[bool, str]:
     return True, f"enumeration matches expected_mk (max gap {worst_gap:.1e}) and respects bounds"
 
 
+def _draw_cards(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
+    """One deal of the spec's n cards, faces 1..52, by the plain partial
+    Fisher-Yates shuffle of the pool of 52 * decks cards, one swap and
+    one offset at a time: the oracle of the chunk dealer."""
+    pool = np.repeat(np.arange(1, 53), spec.decks)
+    total = pool.size
+    # partial Fisher-Yates: only the first n swaps are needed
+    for i in range(spec.n):
+        j = i + int(offsets[i] * (total - i))
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[: spec.n].copy()
+
+
 def _check_sampler_determinism() -> tuple[bool, str]:
     spec = GeneratorSpec(kind="linear", n=500, d=40, corruption="no_empty", seed=905)
     a, b = sample(spec), sample(spec)
@@ -310,17 +322,21 @@ def _check_sampler_determinism() -> tuple[bool, str]:
         if not np.array_equal(*draws):
             return False, f"re-keyed generator differs from a fresh one at seed {seed} after {n} draws"
         cases += 1
-    # cards dealt a chunk at a time from a matrix of offsets: each row
-    # must match the one-deal shuffle
+    # cards dealt a chunk at a time from a matrix of offsets, and the
+    # items of one deal: each hand must be the one-deal shuffle's, card
+    # for card
     keys = [907, 2**64 - 1, *range(20)]
     for decks in (1, 2, 3):
         for n in (0, 1, 26 * decks + 1, 52 * decks):
             spec = GeneratorSpec(kind="cards", n=n, decks=decks)
             offsets = np.reshape([rng.random(n) for rng in _rekeyed(keys)], (len(keys), n))
-            for key, row in zip(keys, _deal_counts(spec, offsets)):
-                ref = np.random.Generator(np.random.Philox(key=key)).random(n)
-                if not np.array_equal(row, np.bincount(_draw_cards(spec, ref), minlength=53)[1:]):
+            for key, hand in zip(keys, _deal(spec, offsets).T):
+                want = _draw_cards(spec, np.random.Generator(np.random.Philox(key=key)).random(n))
+                if not np.array_equal(hand + 1, want):
                     return False, f"chunk deal differs from one deal for {spec} at key {key}"
+                items = sample_items(spec, rng=np.random.Generator(np.random.Philox(key=key)))
+                if items.dtype != np.int64 or not np.array_equal(items, want):
+                    return False, f"sample_items differs from one deal for {spec} at key {key}"
             cases += 1
     return True, (
         "profiles are a pure function of the spec and match their items, "

@@ -112,6 +112,20 @@ def test_test_empty_suite_exits_one():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("tests", ["even,even,count:2", "count:2,even, count:2"])
+def test_test_refuses_a_repeated_kind(tests):
+    # a repeat would inflate the Bonferroni factor: on this profile
+    # even,count:2 gives p = 0.0711 and even,even,count:2 gave 0.1066
+    profile = json.dumps({"n": 6, "m": {"2": 3}})
+    proc = run_cli("test", "--tests", tests, stdin=profile)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "iidtest test: duplicate test kinds in suite\n"
+    proc = run_cli("test", "--tests", "even,count:2", stdin=profile)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["combined"]["p"] == pytest.approx(0.0711, abs=5e-5)
+
+
 def test_test_theoretical_variance_rejects_parity_tests():
     # the default suite contains even/odd, which have no such bound
     proc = run_cli("test", "--variance", "theoretical", stdin=DOUBLED)

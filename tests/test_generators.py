@@ -13,8 +13,8 @@ from scipy.special import gammaln, logsumexp
 
 from iidtest.generators import (
     GeneratorSpec,
+    _deal,
     _deal_counts,
-    _draw_cards,
     _edges,
     _item_counts,
     _listed,
@@ -28,6 +28,7 @@ from iidtest.generators import (
     sample_items,
 )
 from iidtest.harness import _CHUNK
+from iidtest.verify import _draw_cards
 
 
 def test_make_theta_shapes_and_values():
@@ -246,11 +247,15 @@ _KEYS = [0, 1, 2**63, 2**64 - 1, *range(100, 140)]
 
 def _assert_deals_like_draw_cards(spec, offsets):
     # each row dealt by the chunk dealer, against the one-deal shuffle
-    # drawing exactly that row
+    # drawing exactly that row: card for card, and counted
+    faces = _deal(spec, offsets)
     counts = _deal_counts(spec, offsets)
+    assert faces.shape == (spec.n, len(offsets))
     assert counts.shape == (len(offsets), 52)
-    for row, got in zip(offsets, counts.tolist()):
-        assert got == np.bincount(_draw_cards(spec, row), minlength=53)[1:].tolist()
+    for row, hand, got in zip(offsets, faces.T, counts.tolist()):
+        want = _draw_cards(spec, row)
+        assert (hand + 1).tolist() == want.tolist()
+        assert got == np.bincount(want, minlength=53)[1:].tolist()
 
 
 @pytest.mark.parametrize("decks", [1, 2, 3, 200])
@@ -282,6 +287,21 @@ def test_chunk_deal_holds_one_byte_per_card():
     assert peak < 25e6
     assert rows.shape[0] == controls.size == 1024
     assert (rows * np.arange(rows.shape[1])).sum(axis=1).tolist() == [52] * 1024
+
+
+def test_sample_items_deals_with_one_byte_per_card():
+    # 3 cards from 100000 decks: the int8 pool of 5.2 MB, where an int64
+    # pool of the same 5.2 million cards would take 41.6 MB
+    spec = GeneratorSpec("cards", n=3, decks=100_000, seed=5)
+    tracemalloc.start()
+    try:
+        items = sample_items(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert items.dtype == np.int64
+    assert items.tolist() == _draw_cards(spec, _philox(spec.seed).random(3)).tolist()
 
 
 def test_sample_multiplicities_deals_2049_reps_from_a_nonzero_rep():

@@ -1,7 +1,9 @@
 """Test statistics, p-values, run_test dispatch and combination."""
 
+import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -462,10 +464,8 @@ def test_gaussian_p_monotone_in_statistic(stats):
     assert all(a >= b for a, b in zip(ps, ps[1:]))
 
 
-def _suite_members():
-    # every family at small k under every option set it can take
-    kinds = [TestKind(f, k) for f, fam in FAMILIES.items() if fam.min_k for k in range(fam.min_k, 5)]
-    kinds += [TestKind("even"), TestKind("odd")]
+def _suite_members(kinds):
+    # every kind under every option set it can take
     members = []
     for kind, mode, cn, src, tail in itertools.product(
         kinds, Mode, (False, True), VarianceSource, PValueMethod
@@ -479,7 +479,29 @@ def _suite_members():
     return members
 
 
-_MEMBERS = _suite_members()
+# every family at small k
+_MEMBERS = _suite_members(
+    [TestKind(f, k) for f, fam in FAMILIES.items() if fam.min_k for k in range(fam.min_k, 5)]
+    + [TestKind("even"), TestKind("odd")]
+)
+
+
+@functools.cache
+def _far_members(n):
+    # every k-indexed family at k = n, n + 1 and 2**53, whose k + 1 is
+    # past every count of a profile of size n, under every option set
+    # the reference can evaluate at that n
+    ks = sorted({n, n + 1, 2**53})
+    members = _suite_members([TestKind(f, k) for f, fam in FAMILIES.items() if fam.min_k for k in ks if k >= fam.min_k])
+    profile = CountProfile(n, {1: n} if n else {})
+    far = []
+    for kind, opts in members:
+        try:
+            reference.run_test(kind, profile, opts)
+        except ValueError:
+            continue
+        far.append((kind, opts))
+    return far
 
 
 @st.composite
@@ -538,18 +560,19 @@ def _assert_kernel_matches_reference(suite, n, rows):
     try:
         expected = [[reference.run_test(kind, prof, opts) for prof in profiles] for kind, opts in suite]
     except ValueError as exc:
-        # a multinomial bound beyond reach raises whatever the profile
-        with pytest.raises(ValueError, match=str(exc).split(",")[0]):
-            _suite_results(suite, n, _suite_reads(suite, n)(_dense(rows)))
-        with pytest.raises(ValueError, match=str(exc).split(",")[0]):
+        # a bound beyond reach raises whatever the profile
+        message = re.escape(str(exc).split(",")[0])
+        with pytest.raises(ValueError, match=message):
+            _suite_results(suite, n, _suite_reads(suite, n, _dense(rows)))
+        with pytest.raises(ValueError, match=message):
             _run_suite(suite, profiles[0])
         return
     want = np.array([[[getattr(r, f) for r in results] for results in expected] for f in _FIELDS])
     applicable = [[r.applicable for r in results] for results in expected]
     notes = [[r.notes for r in results] for results in expected]
     # one block for all rows, and one block per row, each as wide as it needs
-    blocks = [_suite_reads(suite, n)(_dense(rows))]
-    blocks.append(np.concatenate([_suite_reads(suite, n)(_dense([row])) for row in rows]))
+    blocks = [_suite_reads(suite, n, _dense(rows))]
+    blocks.append(np.concatenate([_suite_reads(suite, n, _dense([row])) for row in rows]))
     for reads in blocks:
         values, status = _suite_results(suite, n, reads)
         assert values.tobytes() == want.tobytes()
@@ -565,7 +588,7 @@ _SIZES = [0, 1, 2, 3, 4, 9, 40, 200, 5000, 100_000]
 
 @pytest.mark.parametrize("n", _SIZES)
 def test_suite_kernel_matches_run_test_for_every_member(n):
-    for member in _MEMBERS:
+    for member in _MEMBERS + _far_members(n):
         _assert_kernel_matches_reference((member,), n, _fixed_rows(n))
 
 
@@ -589,7 +612,7 @@ def test_suite_kernel_matches_run_test_on_random_tails():
 def test_suite_kernel_matches_run_test_bit_for_bit(data):
     n = data.draw(st.sampled_from(_SIZES))
     rows = data.draw(st.lists(_profile_rows(n), min_size=1, max_size=8)) + _fixed_rows(n)
-    picks = data.draw(st.lists(st.sampled_from(_MEMBERS), min_size=1, max_size=8))
+    picks = data.draw(st.lists(st.sampled_from(_MEMBERS + _far_members(n)), min_size=1, max_size=8))
     suite = tuple({str(kind): (kind, opts) for kind, opts in picks}.values())
     _assert_kernel_matches_reference(suite, n, rows)
 
@@ -629,7 +652,7 @@ def test_one_profile_path_matches_the_reference_past_2_63(m):
 def test_kernel_checks_options_before_the_small_sample_return(n):
     # every test of the suite gets its options checked on any profile
     suite = ((TestKind("count", 2), TestOptions()), (TestKind("even"), TestOptions(variance_source="theoretical")))
-    reads = _suite_reads(suite, n)(_dense([{1: n} if n else {}]))
+    reads = _suite_reads(suite, n, _dense([{1: n} if n else {}]))
     with pytest.raises(ValueError, match="even has no theoretical variance bound; use empirical"):
         _suite_results(suite, n, reads)
 
