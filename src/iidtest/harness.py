@@ -4,12 +4,13 @@ draw, and aggregate p-value curves and multiplicity summaries.
 Reproducibility discipline: repetition r draws exactly the stream of
 a fresh ``Philox(key=(seed XOR r) mod 2**64)``, so results are a pure
 function of the config and in particular independent of how
-repetitions are distributed over workers. The sampler is handed each
-chunk's range of repetitions and keys every repetition itself: one
-Philox per chunk, re-keyed before every repetition rather than built
-anew. A uniform control p-value ("u") is recorded per repetition;
-its rejection curve should hug the diagonal, which catches harness
-bugs rather than test failures.
+repetitions are distributed over workers. They are cut once into
+chunks, which ``map`` or the pool's ``map`` runs; the parent fills one
+table, allocated first, in repetition order. Each chunk's sampler keys
+every repetition itself, re-keying one Philox rather than building
+one per repetition. A uniform control p-value ("u") is recorded per
+repetition; its rejection curve should hug the diagonal, which
+catches harness bugs rather than test failures.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from enum import Enum
 from typing import Iterable, Sequence
@@ -157,29 +159,28 @@ def rejection_curve(pvalues: Sequence[float], alpha_grid: Iterable[float]) -> li
 _CHUNK = 1024
 
 
-def _run_range(cfg: ExperimentConfig, start: int, stop: int):
-    """Repetitions start..stop-1: their p-values (one row per label, the
-    control last), the sum of their multiplicity vectors (m_k at index
-    k) and the multiplicity vector of repetition ``start``."""
+def _add_counts(totals: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """totals + counts (m_k at index k), widened to the longer; in place if it can."""
+    if counts.size > totals.size:
+        totals = np.pad(totals, (0, counts.size - totals.size))
+    totals[: counts.size] += counts
+    return totals
+
+
+def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
+    """Repetitions lo..hi-1, at most _CHUNK: their p-values (one row per
+    label, the control last), the sum of their multiplicity vectors
+    (m_k at index k) and the multiplicity vector of repetition lo."""
     spec = cfg.generator
-    pvalues = np.empty((len(cfg.labels), stop - start))
-    totals = np.zeros(1, dtype=np.int64)
-    first = None
-    for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        reads, controls = [], []
-        for mult, control in _sample_multiplicities(spec, cfg.seed, range(lo, hi)):
-            reads.append(_suite_reads(cfg.tests, spec.n, mult))
-            controls.append(control)
-            if mult.shape[1] > totals.size:
-                totals = np.pad(totals, (0, mult.shape[1] - totals.size))
-            totals[: mult.shape[1]] += mult.sum(axis=0)
-            if first is None:
-                first = mult[0]
-        # p is the last plane of the results
-        pvalues[:-1, lo - start : hi - start] = _suite_results(cfg.tests, spec.n, np.concatenate(reads))[0][-1]
-        pvalues[-1, lo - start : hi - start] = np.concatenate(controls)
-    return pvalues, totals, first
+    reads, controls, totals, first = [], [], np.zeros(1, dtype=np.int64), None
+    for mult, control in _sample_multiplicities(spec, cfg.seed, range(lo, hi)):
+        reads.append(_suite_reads(cfg.tests, spec.n, mult))
+        controls.append(control)
+        totals = _add_counts(totals, mult.sum(axis=0))
+        first = mult[0] if first is None else first
+    # p is the last plane of the results
+    pvalues = _suite_results(cfg.tests, spec.n, np.concatenate(reads))[0][-1]
+    return np.vstack((pvalues, np.concatenate(controls))), totals, first
 
 
 def _usable_cpus() -> int:
@@ -192,32 +193,30 @@ def _usable_cpus() -> int:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run the experiment; the report is identical for any worker count.
 
-    Repetitions are split into contiguous chunks, one per worker, and
-    merged back in repetition order before any aggregation, so every
-    floating-point reduction happens in a fixed order. At most one
+    The p-value table is allocated before any chunk runs, so a run too
+    large to hold fails first. Chunks arrive in repetition order, so
+    every floating-point reduction happens in a fixed order. At most one
     worker per repetition and per CPU the process may use is started.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not _is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     workers = min(workers, cfg.reps, _usable_cpus())
-    if workers == 1:
-        parts = [_run_range(cfg, 0, cfg.reps)]
-    else:
-        chunk = -(-cfg.reps // workers)
-        spans = [(lo, min(lo + chunk, cfg.reps)) for lo in range(0, cfg.reps, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_range, *zip(*((cfg, lo, hi) for lo, hi in spans))))
-    table = np.concatenate([ps for ps, _, _ in parts], axis=1)
-    width = max(t.size for _, t, _ in parts)
-    totals = sum(np.pad(t, (0, width - t.size)) for _, t, _ in parts)
-    first = parts[0][2]
-
-    labels = cfg.labels
-    pvalues = {label: tuple(ps) for label, ps in zip(labels, table.tolist())}
-    curves = {}
-    headline = {}
+    table = np.empty((len(cfg.labels), cfg.reps))
+    step = min(_CHUNK, -(-cfg.reps // workers))
+    starts = range(0, cfg.reps, step)
+    stops = [min(lo + step, cfg.reps) for lo in starts]
+    totals = np.zeros(1, dtype=np.int64)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        chunks = (pool.map if pool else map)(_run_chunk, [cfg] * len(starts), starts, stops)
+        for lo, hi, (ps, counts, head) in zip(starts, stops, chunks):
+            table[:, lo:hi] = ps
+            totals = _add_counts(totals, counts)
+            if lo == 0:
+                first = head
+    pvalues = {label: tuple(ps) for label, ps in zip(cfg.labels, table.tolist())}
+    curves, headline = {}, {}
     alphas = cfg.alpha_grid + (cfg.alpha_star,)
-    for label, ps in zip(labels, table):
+    for label, ps in zip(cfg.labels, table):
         # (alpha, rejection rate, its binomial standard error), alpha_star last
         *curve, (_, rate, stderr) = [
             (alpha, frac, math.sqrt(frac * (1.0 - frac) / cfg.reps))

@@ -360,14 +360,16 @@ def test_power_mistyped_field_exits_one_without_traceback(tmp_path, where, field
     assert field in proc.stderr
 
 
-def test_power_too_large_to_allocate_exits_one(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_power_too_large_to_allocate_exits_one(tmp_path, workers):
     # the p-value table alone would take 2.4e15 bytes, more than a
-    # 2**47-byte address space holds, so no allocator can grant it
+    # 2**47-byte address space holds, so no allocator can grant it; it
+    # is allocated before any chunk runs, on the pool path too
     doc = _power_config(10**14)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    proc = run_cli("power", "--config", str(cfg), "--output", str(out))
+    proc = run_cli("power", "--config", str(cfg), "--output", str(out), "--workers", workers)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("iidtest power: out of memory:") and proc.stderr.count("\n") == 1

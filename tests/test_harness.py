@@ -15,7 +15,8 @@ from iidtest.generators import GeneratorSpec, expected_mk, reference_theta, samp
 from iidtest.harness import (
     ExperimentConfig,
     ExperimentReport,
-    _run_range,
+    _CHUNK,
+    _run_chunk,
     config_from_json,
     config_to_json,
     emit_report,
@@ -118,6 +119,12 @@ def test_worker_count_does_not_change_output():
     assert serial == parallel
 
 
+def test_workers_running_many_chunks_each_match_one_worker():
+    # each of two workers runs more than two chunks, the last one short
+    cfg = suite_config(GeneratorSpec("cards", n=5, decks=1), reps=4 * _CHUNK + 3, seed=3)
+    assert emit_report(run_experiment(cfg, workers=2)) == emit_report(run_experiment(cfg, workers=1))
+
+
 def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
     assert 1 <= harness._usable_cpus() <= os.cpu_count()
     started = []
@@ -147,9 +154,11 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
 
 
 def test_workers_must_be_positive():
+    # a float or a bool is no worker count, even one that equals an int
     cfg = suite_config(GeneratorSpec("uniform", n=30, d=10), reps=2)
-    with pytest.raises(ValueError):
-        run_experiment(cfg, workers=0)
+    for workers in (0, 2.0, True):
+        with pytest.raises(ValueError):
+            run_experiment(cfg, workers=workers)
 
 
 def test_control_curve_tracks_the_diagonal():
@@ -449,7 +458,7 @@ def test_memory_does_not_grow_with_the_largest_count():
     cfg = suite_config(GeneratorSpec("uniform", n=100_000, d=1), reps=200)
     tracemalloc.start()
     try:
-        pvalues, totals, first = _run_range(cfg, 0, cfg.reps)
+        pvalues, totals, first = _run_chunk(cfg, 0, 200)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
