@@ -28,6 +28,7 @@ from .definitions import (
     TestKind,
     TestOptions,
     VarianceSource,
+    _check_suite,
     parse_kind,
 )
 
@@ -81,11 +82,7 @@ def _cmd_test(args) -> int:
     profile = profile_from_json(_read_text(args.input))
     opts = _options_from_args(args)
     kinds = [parse_kind(tok) for tok in args.tests.split(",") if tok.strip()]
-    if not kinds:
-        raise ValueError("empty test list")
-    if len(set(kinds)) != len(kinds):
-        # a repeat would count twice in the Bonferroni factor
-        raise ValueError("duplicate test kinds in suite")
+    _check_suite(kinds)
     results = _run_suite(tuple((kind, opts) for kind in kinds), profile)
     if args.no_correction:
         rejected = [r for r in results if r.p <= args.alpha]
@@ -126,7 +123,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
     )
     if args.emit == "items":
-        lines = "\n".join(str(x) for x in sample_items(spec))
+        lines = "\n".join(map(str, sample_items(spec).tolist()))
         _write_text(lines + "\n" if lines else "", args.output)
     else:
         _write_text(profile_to_json(sample(spec)) + "\n", args.output)

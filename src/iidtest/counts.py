@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import warnings
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
@@ -29,7 +30,8 @@ __all__ = [
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    # the library's one integer rule: any integral type, numpy's too, but no bool
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,8 @@ class CountProfile:
 
     Construction checks the invariants and raises ValueError on the
     first violation: integral n >= 0, integral k >= 1 and m_k >= 1
-    entries, and the identity sum k*m_k = n.
+    entries, and the identity sum k*m_k = n. Any integral type passes
+    but bool; n, k and m_k are stored as Python ints.
     """
 
     n: int
@@ -54,6 +57,7 @@ class CountProfile:
     def __post_init__(self) -> None:
         if not _is_int(self.n) or self.n < 0:
             raise ValueError(f"n must be an integer >= 0, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if not isinstance(self.multiplicities, Mapping):
             raise ValueError("multiplicities must map k to m_k")
         for k, m in self.multiplicities.items():
@@ -61,10 +65,11 @@ class CountProfile:
                 raise ValueError(f"multiplicity key must be an integer >= 1, got {k!r}")
             if not _is_int(m) or m < 1:
                 raise ValueError(f"m_{k} must be an integer >= 1, got {m!r}")
-        total = sum(k * m for k, m in self.multiplicities.items())
+        # as Python ints first, so that no numpy product can wrap
+        ordered = dict(sorted((int(k), int(m)) for k, m in self.multiplicities.items()))
+        total = sum(k * m for k, m in ordered.items())
         if total != self.n:
             raise ValueError(f"sum k*m_k = {total} does not match n = {self.n}")
-        ordered = dict(sorted(self.multiplicities.items()))
         object.__setattr__(self, "multiplicities", ordered)
 
     @property
@@ -184,7 +189,7 @@ def profile_from_counts(counts: Iterable[int]) -> CountProfile:
     for c in counts:
         if not _is_int(c) or c < 1:
             raise ValueError(f"counts must be integers >= 1, got {c!r}")
-    return CountProfile(sum(counts), dict(Counter(counts)))
+    return CountProfile(sum(map(int, counts)), dict(Counter(counts)))
 
 
 def profile_to_json(profile: CountProfile) -> str:

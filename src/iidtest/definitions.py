@@ -11,7 +11,6 @@ documented: the test types from `invariants`, `GeneratorSpec` from
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -100,6 +99,7 @@ class TestKind:
                 raise ValueError(f"{self.family} needs integer k >= {min_k}, got {self.k!r}")
             if self.k > _MAX_K:
                 raise ValueError(f"{self.family} needs k <= 2**53, got {self.k}")
+            object.__setattr__(self, "k", int(self.k))
 
     def __str__(self) -> str:
         return self.family if self.k is None else f"{self.family}:{self.k}"
@@ -117,6 +117,14 @@ def parse_kind(token: str) -> TestKind:
     except ValueError:
         raise ValueError(f"bad k in test token {token!r}") from None
     return TestKind(name, k)
+
+
+def _check_suite(kinds: list[TestKind]) -> None:
+    # a kind listed twice would count twice in the Bonferroni factor
+    if not kinds:
+        raise ValueError("need at least one test")
+    if len(set(kinds)) != len(kinds):
+        raise ValueError("duplicate test kinds in suite")
 
 
 DEFAULT_SUITE: tuple[TestKind, ...] = (
@@ -249,7 +257,7 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         for name in ("n", "d", "decks", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.kind not in _KINDS:

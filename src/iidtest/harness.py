@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .counts import _is_int
+from .definitions import _check_suite
 from .generators import GeneratorSpec, _sample_multiplicities, expected_mk, reference_theta
 from .invariants import (
     TestKind,
@@ -82,6 +83,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not isinstance(self.assert_validity, bool):
             raise ValueError(f"assert_validity must be true or false, got {self.assert_validity!r}")
         if not _is_number(self.alpha_star):
@@ -91,8 +93,7 @@ class ExperimentConfig:
             raise ValueError(f"alpha_grid must be a list of numbers, got {grid!r}")
         object.__setattr__(self, "tests", tuple((k, o) for k, o in self.tests))
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in grid))
-        if not self.tests:
-            raise ValueError("need at least one test")
+        _check_suite([kind for kind, _ in self.tests])
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         grid = self.alpha_grid
@@ -102,9 +103,6 @@ class ExperimentConfig:
             raise ValueError("alpha_grid must be strictly ascending")
         if not 0.0 < self.alpha_star < 1.0:
             raise ValueError(f"alpha_star must lie in (0, 1), got {self.alpha_star}")
-        kinds = [str(kind) for kind, _ in self.tests]
-        if len(set(kinds)) != len(kinds):
-            raise ValueError("duplicate test kinds in suite")
         for kind, opts in self.tests:
             try:
                 _check_options(kind, opts)
@@ -200,7 +198,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    workers = min(workers, cfg.reps, _usable_cpus())
+    workers = min(int(workers), cfg.reps, _usable_cpus())
     table = np.empty((len(cfg.labels), cfg.reps))
     step = min(_CHUNK, -(-cfg.reps // workers))
     starts = range(0, cfg.reps, step)
@@ -294,11 +292,22 @@ _OPTION_FIELDS = {
 }
 
 
-def _options_from(doc: dict, base: TestOptions) -> TestOptions:
-    extra = set(doc) - set(_OPTION_FIELDS)
+def _record(value, name: str, keys, required=()) -> dict:
+    """``value`` checked as a JSON object with keys from ``keys``, ``required`` among them."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    extra = set(value) - set(keys)
     if extra:
-        raise ValueError(f"unknown option fields: {sorted(extra)}")
-    return replace(base, **{_OPTION_FIELDS[key]: value for key, value in doc.items()})
+        raise ValueError(f"unknown {name} fields: {sorted(extra)}")
+    missing = [repr(key) for key in required if key not in value]
+    if missing:
+        raise ValueError(f"{name} needs {' and '.join(missing)}")
+    return value
+
+
+def _options_from(doc: dict, base: TestOptions) -> TestOptions:
+    # every key but a test entry's "kind" names an option
+    return replace(base, **{_OPTION_FIELDS[key]: v for key, v in doc.items() if key != "kind"})
 
 
 def _options_to(opts: TestOptions) -> dict:
@@ -320,42 +329,21 @@ def config_from_json(text: str) -> ExperimentConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    extra = set(doc) - _CONFIG_KEYS
-    if extra:
-        raise ValueError(f"unknown config fields: {sorted(extra)}")
-    if "generator" not in doc or "tests" not in doc:
-        raise ValueError("config needs 'generator' and 'tests'")
-    gen = doc["generator"]
-    if not isinstance(gen, dict):
-        raise ValueError("'generator' must be an object")
+    _record(doc, "config", _CONFIG_KEYS, ("generator", "tests"))
     spec_fields = fields(GeneratorSpec)
-    extra = set(gen) - {f.name for f in spec_fields}
-    if extra:
-        raise ValueError(f"unknown generator fields: {sorted(extra)}")
-    missing = [repr(f.name) for f in spec_fields if f.default is MISSING and f.name not in gen]
-    if missing:
-        raise ValueError(f"generator needs {' and '.join(missing)}")
+    required = [f.name for f in spec_fields if f.default is MISSING]
+    gen = _record(doc["generator"], "generator", [f.name for f in spec_fields], required)
     spec = GeneratorSpec(**gen)
-    base = TestOptions()
-    if "options" in doc:
-        if not isinstance(doc["options"], dict):
-            raise ValueError("'options' must be an object")
-        base = _options_from(doc["options"], base)
-    if not isinstance(doc["tests"], list) or not doc["tests"]:
-        raise ValueError("'tests' must be a non-empty list")
+    base = _options_from(_record(doc.get("options", {}), "options", _OPTION_FIELDS), TestOptions())
+    if not isinstance(doc["tests"], list):
+        raise ValueError("'tests' must be a list")
     tests = []
     for entry in doc["tests"]:
+        # a kind token is short for the entry that names only its kind
         if isinstance(entry, str):
-            tests.append((parse_kind(entry), base))
-        elif isinstance(entry, dict):
-            if "kind" not in entry:
-                raise ValueError(f"test entry needs 'kind': {entry!r}")
-            opts = _options_from({k: v for k, v in entry.items() if k != "kind"}, base)
-            tests.append((parse_kind(entry["kind"]), opts))
-        else:
-            raise ValueError(f"bad test entry {entry!r}")
+            entry = {"kind": entry}
+        _record(entry, "test entry", ["kind", *_OPTION_FIELDS], ["kind"])
+        tests.append((parse_kind(entry["kind"]), _options_from(entry, base)))
     kwargs = {name: doc[name] for name in _PLAIN_KEYS if name in doc}
     return ExperimentConfig(generator=spec, tests=tuple(tests), **kwargs)
 

@@ -110,6 +110,7 @@ def test_test_malformed_profile_exits_one():
 def test_test_empty_suite_exits_one():
     proc = run_cli("test", "--tests", ",", stdin=DOUBLED)
     assert proc.returncode == 1
+    assert proc.stderr == "iidtest test: need at least one test\n"
 
 
 @pytest.mark.parametrize("tests", ["even,even,count:2", "count:2,even, count:2"])

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import re
 import warnings
 from collections import Counter
 
@@ -170,6 +171,8 @@ def test_profile_from_counts_examples():
     p = profile_from_counts([3, 1, 1, 1])
     assert (p.n, p.multiplicities) == (6, {1: 3, 3: 1})
     assert profile_from_counts([5]).multiplicities == {5: 1}
+    # counts as numpy returns them, np.unique(x, return_counts=True)[1]
+    assert profile_from_counts(np.array([3, 1, 1, 1])) == p
 
 
 def test_profile_from_counts_rejects_nonpositive_entries():
@@ -177,8 +180,9 @@ def test_profile_from_counts_rejects_nonpositive_entries():
         profile_from_counts([2, 0])
     with pytest.raises(ValueError):
         profile_from_counts([-1])
-    with pytest.raises(ValueError):
-        profile_from_counts([True])
+    for bad in (True, np.True_, 1.0, np.float64(1.0)):
+        with pytest.raises(ValueError, match=f"^counts must be integers >= 1, got {re.escape(repr(bad))}$"):
+            profile_from_counts([bad])
 
 
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=12))
@@ -190,11 +194,15 @@ def test_counts_round_trip_through_item_expansion(counts):
 def test_validate_accepts_consistent_profiles():
     assert CountProfile(4, {2: 2}).m(2) == 2
     assert CountProfile(0, {}).m_plus == 0
+    # k * m_k is taken in Python ints: in int64 this product wraps to 0
+    assert CountProfile(2**80, {np.int64(2**40): np.int64(2**40)}).m(2**40) == 2**40
 
 
 def test_validate_reports_sum_mismatch():
     with pytest.raises(ValueError, match="does not match n"):
         CountProfile(5, {2: 2})
+    with pytest.raises(ValueError, match="does not match n"):
+        CountProfile(2**80 + 1, {np.int64(2**40): np.int64(2**40)})
 
 
 def test_validate_reports_first_order_inconsistency():
@@ -220,6 +228,16 @@ def test_validate_rejects_malformed_fields():
     for args, match in cases:
         with pytest.raises(ValueError, match=match):
             CountProfile(*args)
+    # bools and floats, Python's or numpy's, are no integers
+    for bad in (True, np.True_, 1.0, np.float64(1.0)):
+        got = re.escape(repr(bad))
+        for args, message in [
+            ((bad, {}), f"n must be an integer >= 0, got {got}"),
+            ((1, {bad: 1}), f"multiplicity key must be an integer >= 1, got {got}"),
+            ((1, {1: bad}), f"m_1 must be an integer >= 1, got {got}"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                CountProfile(*args)
 
 
 def test_multiplicities_are_stored_sorted():

@@ -1,6 +1,7 @@
 """Synthetic sources: theta construction, corruption rules, expected counts."""
 
 import math
+import re
 import tracemalloc
 import types
 from collections import Counter
@@ -78,6 +79,10 @@ def test_spec_validation():
         GeneratorSpec("uniform", n=0, d=2**53 + 1)
     with pytest.raises(ValueError):
         GeneratorSpec("cards", n=0, decks=2**53 // 52 + 1)
+    for name in ("n", "d", "decks", "seed"):
+        for bad in (True, np.True_, 1.0, np.float64(1.0)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+                GeneratorSpec("uniform", **{"n": 10, "d": 5, name: bad})
     # so the chunk dealer's pool, every card of every hand, has an int64 size
     assert 52 * (2**53 // 52) * _CHUNK < 2**63
 

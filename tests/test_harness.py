@@ -5,12 +5,16 @@ import io
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iidtest import harness
+from iidtest.counts import CountProfile, profile_from_counts, profile_to_json
 from iidtest.generators import GeneratorSpec, expected_mk, reference_theta, sample
 from iidtest.harness import (
     ExperimentConfig,
@@ -74,6 +78,10 @@ def test_config_validation():
         {"alpha_star": "0.05"},
         {"alpha_grid": (0.01, "0.05")},
         {"alpha_grid": 0.05},
+        {"reps": np.True_},
+        {"reps": np.float64(2.0)},
+        {"seed": np.float64(1.0)},
+        {"seed": np.False_},
     ]
     for fields in mistyped:
         name = next(iter(fields))
@@ -156,9 +164,56 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
 def test_workers_must_be_positive():
     # a float or a bool is no worker count, even one that equals an int
     cfg = suite_config(GeneratorSpec("uniform", n=30, d=10), reps=2)
-    for workers in (0, 2.0, True):
-        with pytest.raises(ValueError):
+    for workers in (0, 2.0, True, np.True_, np.float64(1.0)):
+        with pytest.raises(ValueError, match=f"^workers must be an integer >= 1, got {re.escape(repr(workers))}$"):
             run_experiment(cfg, workers=workers)
+
+
+_NUMPY_INTS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_NUMPY_INTS), st.data())
+def test_numpy_integers_build_the_records_python_ints_build(dtype, data):
+    # every record takes any integral type and stores Python ints, so a
+    # numpy integer changes neither an object nor a byte of its output
+    top = int(np.iinfo(dtype).max)
+
+    def ints(lo, hi):
+        return data.draw(st.integers(lo, min(hi, top)))
+
+    # up to four entries k * m_k <= top / 4 keep n in range too
+    side = math.isqrt(top // 4)
+    mult = data.draw(st.dictionaries(st.integers(1, side), st.integers(1, side), max_size=4))
+    n = sum(k * m for k, m in mult.items())
+    pairs = [
+        (CountProfile(dtype(n), {dtype(k): dtype(m) for k, m in mult.items()}), CountProfile(n, mult)),
+        (profile_from_counts(np.array(list(mult), dtype=dtype)), profile_from_counts(list(mult))),
+    ]
+    for profile, plain in pairs:
+        assert profile == plain and profile_to_json(profile) == profile_to_json(plain)
+        assert all(type(x) is int for k, m in profile.multiplicities.items() for x in (profile.n, k, m))
+
+    k = ints(1, 2**53)
+    assert TestKind("count", dtype(k)) == TestKind("count", k)
+    assert type(TestKind("count", dtype(k)).k) is int
+    values = {"n": ints(0, 2**53), "d": ints(1, 2**53), "seed": ints(0, 2**64 - 1)}
+    spec = GeneratorSpec("uniform", **{name: dtype(v) for name, v in values.items()})
+    assert spec == GeneratorSpec("uniform", **values)
+    decks = ints(1, 2**53 // 52)
+    cards = GeneratorSpec("cards", n=dtype(0), decks=dtype(decks))
+    assert cards == GeneratorSpec("cards", n=0, decks=decks)
+    assert all(type(getattr(s, name)) is int for s in (spec, cards) for name in ("n", "d", "decks", "seed"))
+
+    small = GeneratorSpec("uniform", n=dtype(ints(0, 30)), d=dtype(ints(1, 10)), seed=dtype(ints(0, 9)))
+    reps, seed, workers = ints(1, 3), ints(0, 2**64 - 1), ints(1, 2)
+    cfg = suite_config(small, reps=dtype(reps), seed=dtype(seed))
+    plain = suite_config(GeneratorSpec("uniform", n=small.n, d=small.d, seed=small.seed), reps, seed)
+    assert cfg == plain and type(cfg.reps) is int and type(cfg.seed) is int
+    assert json.dumps(config_to_json(cfg)) == json.dumps(config_to_json(plain))
+    assert emit_report(run_experiment(cfg, workers=dtype(workers))) == emit_report(
+        run_experiment(plain, workers=workers)
+    )
 
 
 def test_control_curve_tracks_the_diagonal():

@@ -70,6 +70,9 @@ def test_kind_validation():
         TestKind("count", True)
     with pytest.raises(ValueError):
         TestKind("curv", 2.0)
+    for bad in (True, np.True_, 1.0, np.float64(1.0)):
+        with pytest.raises(ValueError, match=f"^count needs integer k >= 1, got {re.escape(repr(bad))}$"):
+            TestKind("count", bad)
     with pytest.raises(ValueError):
         parse_kind("curv:x")
 
