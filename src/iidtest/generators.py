@@ -16,7 +16,7 @@ path to a spec's items or profile leaves its generator in one state.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -113,6 +113,49 @@ def _edges(spec: GeneratorSpec) -> np.ndarray:
     return edges
 
 
+def _labeller(spec: GeneratorSpec, size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The label map of an iid-kind spec for ``size`` uniforms at a time:
+    ``label(u)`` is ``np.searchsorted(_edges(spec), u, "right")``, the
+    0-based labels, exactly. A label is guessed by the closed-form
+    inverse CDF of theta, clipped to d - 1 and truncated, and the guess
+    L stands if ``lower[L] <= u < edges[L]`` (``lower = [0,
+    edges[:-1]]``), which with edges that never decrease makes it the
+    search's answer. Only the misses, uniforms next to an edge, are
+    searched. The temporaries are buffers made here once, for a
+    chunk's repetitions to share; each call overwrites the last labels.
+    """
+    d, edges = spec.d, _edges(spec)
+    lower = np.concatenate(([0.0], edges[:-1]))
+    guess, labels = np.empty(size), np.empty(size, dtype=np.intp)
+    hit, below = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+
+    def label(u: np.ndarray) -> np.ndarray:
+        if spec.kind == "uniform":
+            np.multiply(u, d, out=guess)
+        else:
+            # x(x+1) / (d(d+1)) is the mass of labels 1..x
+            np.multiply(u, 4.0 * d * (d + 1), out=guess)
+            np.add(guess, 1.0, out=guess)
+            np.sqrt(guess, out=guess)
+            np.subtract(guess, 1.0, out=guess)
+            np.multiply(guess, 0.5, out=guess)
+        np.minimum(guess, d - 1, out=guess)
+        np.copyto(labels, guess, casting="unsafe")
+        # the labels lie in 0..d-1, so "clip" never clips; it spares
+        # the copy that np.take makes of out= under "raise"
+        np.take(lower, labels, out=guess, mode="clip")
+        np.less_equal(guess, u, out=hit)
+        np.take(edges, labels, out=guess, mode="clip")
+        np.less(u, guess, out=below)
+        np.logical_and(hit, below, out=hit)
+        if not hit.all():
+            miss = np.flatnonzero(np.logical_not(hit, out=hit))
+            labels[miss] = np.searchsorted(edges, u[miss], "right")
+        return labels
+
+    return label
+
+
 def sample_items(spec: GeneratorSpec, rng: np.random.Generator | None = None) -> np.ndarray:
     """The raw item sequence (integer labels) a spec generates.
 
@@ -124,7 +167,7 @@ def sample_items(spec: GeneratorSpec, rng: np.random.Generator | None = None) ->
     u = rng.random(_draw_count(spec))
     if spec.kind == "cards":
         return np.add(_deal(spec, u[None, :])[:, 0], 1, dtype=np.int64)
-    labels = np.searchsorted(_edges(spec), u, "right") + 1
+    labels = _labeller(spec, u.size)(u) + 1
     if spec.corruption == "even_n":
         return np.repeat(labels, 2)
     if spec.corruption == "even_m":
@@ -132,12 +175,10 @@ def sample_items(spec: GeneratorSpec, rng: np.random.Generator | None = None) ->
     return np.concatenate([labels, np.repeat(np.arange(1, spec.d + 1), _FILL[spec.corruption])])
 
 
-def _item_counts(spec: GeneratorSpec, edges: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # Per-category counts of the items sample_items labels from the
-    # uniforms u: counting the sorted uniforms below each edge replaces
-    # one binary search per item with one per category. Sorts u in place.
-    u.sort()
-    counts = np.diff(np.searchsorted(u, edges, side="left"), prepend=0)
+def _label_counts(spec: GeneratorSpec, labels: np.ndarray) -> np.ndarray:
+    # Per-category counts of the items sample_items makes of the
+    # 0-based labels: their bincount, then the corruption's map of it.
+    counts = np.bincount(labels, minlength=spec.d)
     if spec.corruption == "even_m":
         return np.concatenate([counts, counts])
     if spec.corruption == "even_n":
@@ -152,7 +193,7 @@ def _sample_counts(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(_draw_count(spec))
     if spec.kind == "cards":
         return _deal_counts(spec, u[None, :])[0]
-    return _item_counts(spec, _edges(spec), u)
+    return _label_counts(spec, _labeller(spec, u.size)(u))
 
 
 def _deal(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
@@ -208,7 +249,8 @@ def _sample_multiplicities(spec: GeneratorSpec, seed: int, reps: range):
     profile (the harness's control), in blocks: one block for all the
     card deals, one row at a time for the iid kinds so that no block is
     wider than one profile's largest count. One generator is re-keyed
-    for every rep, and the iid kinds draw every rep into one buffer."""
+    for every rep, and the iid kinds draw and label every rep in buffers
+    made once."""
     rngs = _rekeyed(seed ^ rep for rep in reps)
     if spec.kind == "cards":
         # a hand's n offsets and then its control, in one call into its
@@ -218,10 +260,11 @@ def _sample_multiplicities(spec: GeneratorSpec, seed: int, reps: range):
             rng.random(out=row)
         yield _multiplicity_rows(_deal_counts(spec, draws[:, :-1])), draws[:, -1]
         return
-    edges, u = _edges(spec), np.empty(_draw_count(spec))
+    u = np.empty(_draw_count(spec))
+    label = _labeller(spec, u.size)
     for rng in rngs:
         rng.random(out=u)
-        yield _multiplicity_rows(_item_counts(spec, edges, u)[None, :]), np.array([rng.random()])
+        yield _multiplicity_rows(_label_counts(spec, label(u))[None, :]), np.array([rng.random()])
 
 
 def sample(
@@ -234,8 +277,9 @@ def sample(
 
     The profile, and the generator state afterwards, equal those of
     ``sample_items`` with the same generator. It takes the Monte Carlo
-    harness's path: iid kinds are counted per category without
-    labelling each item, and cards are dealt by the chunk dealer.
+    harness's path: iid kinds are labelled by the label map
+    ``sample_items`` uses and counted, and cards are dealt by the chunk
+    dealer.
 
     ``keep_first_order`` must be False: profiles carry no per-label
     counts. It stays only while the benchmark's traced replay passes

@@ -55,6 +55,12 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_test_pair(entry) -> bool:
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        return False
+    return isinstance(entry[0], TestKind) and isinstance(entry[1], TestOptions)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a generator, a test suite, and repetition knobs.
@@ -79,6 +85,10 @@ class ExperimentConfig:
     assert_validity: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.generator, GeneratorSpec):
+            raise ValueError(f"generator must be a GeneratorSpec, got {self.generator!r}")
+        if not isinstance(self.tests, (list, tuple)) or not all(map(_is_test_pair, self.tests)):
+            raise ValueError(f"tests must be a list of (TestKind, TestOptions) pairs, got {self.tests!r}")
         for name in ("reps", "seed"):
             value = getattr(self, name)
             if not _is_int(value):

@@ -25,6 +25,8 @@ from .generators import (
     GeneratorSpec,
     _deal,
     _draw_count,
+    _edges,
+    _labeller,
     _rekeyed,
     _sample_counts,
     expected_mk,
@@ -310,6 +312,16 @@ def _check_sampler_determinism() -> tuple[bool, str]:
             if len({rng.random() for rng in rngs}) != 1:
                 return False, f"a path to {spec} drew other than {_draw_count(spec)} uniforms at key {key}"
             cases += 1
+    # the iid label map against its oracle, a binary search of the
+    # edges, on draws, on every edge and on both neighbours of each
+    for kind, d in itertools.product(("uniform", "linear"), (1, 2, 250, 33_333, 10**6)):
+        spec = GeneratorSpec(kind=kind, n=0, d=d)
+        edges, draws = _edges(spec), np.random.Generator(np.random.Philox(key=907)).random(10_000)
+        u = np.concatenate([draws, edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0), [0.0]])
+        u = u[u < 1.0]
+        if not np.array_equal(_labeller(spec, u.size)(u), np.searchsorted(edges, u, "right")):
+            return False, f"label map differs from searchsorted for {kind} d={d}"
+        cases += 1
     # one generator re-keyed per rep draws what a fresh one keyed alike
     # does, whatever the rep before left buffered: part of a block of
     # four words, and the unused half of a word after a 32-bit draw
@@ -339,8 +351,8 @@ def _check_sampler_determinism() -> tuple[bool, str]:
                     return False, f"sample_items differs from one deal for {spec} at key {key}"
             cases += 1
     return True, (
-        "profiles are a pure function of the spec and match their items, "
-        f"and re-keyed generators match fresh ones ({cases} cases)"
+        "profiles are a pure function of the spec and match their items, labels "
+        f"match a search of the edges, and re-keyed generators match fresh ones ({cases} cases)"
     )
 
 

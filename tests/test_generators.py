@@ -17,7 +17,8 @@ from iidtest.generators import (
     _deal,
     _deal_counts,
     _edges,
-    _item_counts,
+    _label_counts,
+    _labeller,
     _listed,
     _rekeyed,
     _sample_counts,
@@ -413,7 +414,7 @@ def test_rekeyed_generator_draws_what_a_fresh_one_does_at_each_length(length):
 @pytest.mark.parametrize("kind", ["uniform", "linear"])
 def test_edge_uniforms_go_up_a_label_in_items_and_counts(kind):
     # label j+1 owns [edges[j-1], edges[j]): a uniform on an edge goes up,
-    # in the labels sample_items draws and in the counts _item_counts takes
+    # in the labels sample_items draws and in the counts _label_counts takes
     e0, e1, e2, _ = _edges(GeneratorSpec(kind, n=0, d=4))
     u = [np.nextafter(1.0, 0.0), e0, 0.0, e2, e1, np.nextafter(e1, 0.0), e0]
     drawn = np.array([1, 3, 1, 2])  # labels 4, 2, 1, 4, 3, 2, 2
@@ -427,8 +428,39 @@ def test_edge_uniforms_go_up_a_label_in_items_and_counts(kind):
         ("no_unique", 15, drawn + 2),
     ]:
         spec = GeneratorSpec(kind, n=n, d=4, corruption=corruption)
-        assert _item_counts(spec, _edges(spec), np.array(u)).tolist() == list(want)
+        assert _label_counts(spec, _labeller(spec, len(u))(np.array(u))).tolist() == list(want)
         assert np.bincount(sample_items(spec, rng=edge_draw), minlength=len(want) + 1)[1:].tolist() == list(want)
+
+
+# the items each corruption makes of the 1-based labels of its draws
+_CORRUPTED = {
+    "none": lambda labels, d: labels,
+    "even_n": lambda labels, d: np.repeat(labels, 2),
+    "even_m": lambda labels, d: np.concatenate([labels, labels + d]),
+    "no_empty": lambda labels, d: np.append(labels, np.arange(1, d + 1)),
+    "no_unique": lambda labels, d: np.append(labels, np.repeat(np.arange(1, d + 1), 2)),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10, 1000, 33_333, 10**6])
+@pytest.mark.parametrize("kind", ["uniform", "linear"])
+@settings(max_examples=2, deadline=None)
+@given(key=st.integers(0, 2**64 - 1))
+def test_labeller_matches_searchsorted_on_draws_and_every_edge(kind, d, key):
+    # searchsorted(edges, u, "right") is the label map's oracle; uniforms
+    # on and beside an edge often miss the closed-form guess, so they
+    # take the fallback search
+    edges = _edges(GeneratorSpec(kind, n=0, d=d))
+    u = np.concatenate([_philox(key).random(1000), edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
+    u = np.append(u[u < 1.0], [0.0, np.nextafter(1.0, 0.0)])
+    want = np.searchsorted(edges, u, "right")
+    assert np.array_equal(_labeller(GeneratorSpec(kind, n=0, d=d), u.size)(u), want)
+    draw = types.SimpleNamespace(random=lambda size: u.copy())
+    for corruption, corrupted in _CORRUPTED.items():
+        items = corrupted(want + 1, d)
+        spec = GeneratorSpec(kind, n=items.size, d=d, corruption=corruption)
+        assert np.array_equal(sample_items(spec, rng=draw), items)
+        assert np.array_equal(_sample_counts(spec, draw), np.bincount(items)[1:])
 
 
 def test_sample_first_order_of_even_m_spans_fresh_labels():

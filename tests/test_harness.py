@@ -87,6 +87,18 @@ def test_config_validation():
         name = next(iter(fields))
         with pytest.raises(ValueError, match=name):
             suite_config(gen, **{"reps": 5, **fields})
+    even = (TestKind("even"), TestOptions())
+    pairs = r"^tests must be a list of \(TestKind, TestOptions\) pairs, got "
+    malformed = [
+        ({"tests": (("even", TestOptions()),)}, pairs + r"\(\('even', TestOptions\("),
+        ({"tests": (TestKind("even"),)}, pairs + r"\(TestKind\("),
+        ({"tests": (even + (None,),)}, pairs + r"\(\(TestKind\("),
+        ({"tests": TestKind("even")}, pairs + r"TestKind\("),
+        ({"generator": "x"}, r"^generator must be a GeneratorSpec, got 'x'$"),
+    ]
+    for fields, message in malformed:
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{"generator": gen, "tests": (even,), "reps": 5, **fields})
 
 
 def test_config_refuses_options_a_family_cannot_take():
