@@ -15,6 +15,7 @@ path to a spec's items or profile leaves its generator in one state.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Iterator
 
@@ -34,6 +35,9 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# cells per block of iid reps: uniforms drawn, categories counted or
+# multiplicity columns, whichever a rep has most of
+_BUDGET = 2**17
 
 
 def make_theta(kind: str, d: int) -> np.ndarray:
@@ -113,23 +117,25 @@ def _edges(spec: GeneratorSpec) -> np.ndarray:
     return edges
 
 
-def _labeller(spec: GeneratorSpec, size: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The label map of an iid-kind spec for ``size`` uniforms at a time:
-    ``label(u)`` is ``np.searchsorted(_edges(spec), u, "right")``, the
-    0-based labels, exactly. A label is guessed by the closed-form
-    inverse CDF of theta, clipped to d - 1 and truncated, and the guess
-    L stands if ``lower[L] <= u < edges[L]`` (``lower = [0,
-    edges[:-1]]``), which with edges that never decrease makes it the
-    search's answer. Only the misses, uniforms next to an edge, are
-    searched. The temporaries are buffers made here once, for a
+def _labeller(spec: GeneratorSpec, shape: int | tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """The label map of an iid-kind spec for arrays of uniforms of
+    ``shape``, or of fewer rows: ``label(u)`` is
+    ``np.searchsorted(_edges(spec), u, "right")``, the 0-based labels,
+    exactly. A label is guessed by the closed-form inverse CDF of theta,
+    truncated, and the guess L stands if ``lower[L] <= u < upper[L]``
+    (``lower = [0, edges]``, ``upper = [edges, inf]``), which with edges
+    that never decrease makes it the search's answer. Label d, which
+    rounding can guess for a uniform just below 1, has ``lower[d] = 1``
+    and so fails the check. Only the misses, uniforms next to an edge,
+    are searched. The temporaries are buffers made here once, for a
     chunk's repetitions to share; each call overwrites the last labels.
     """
-    d, edges = spec.d, _edges(spec)
-    lower = np.concatenate(([0.0], edges[:-1]))
-    guess, labels = np.empty(size), np.empty(size, dtype=np.intp)
-    hit, below = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    d, upper = spec.d, np.append(_edges(spec), np.inf)
+    lower = np.concatenate(([0.0], upper[:-1]))
+    buffers = [np.empty(shape, dtype=dtype) for dtype in (float, np.intp, bool, bool)]
 
     def label(u: np.ndarray) -> np.ndarray:
+        guess, labels, hit, below = (buffer[: len(u)] for buffer in buffers)
         if spec.kind == "uniform":
             np.multiply(u, d, out=guess)
         else:
@@ -139,18 +145,18 @@ def _labeller(spec: GeneratorSpec, size: int) -> Callable[[np.ndarray], np.ndarr
             np.sqrt(guess, out=guess)
             np.subtract(guess, 1.0, out=guess)
             np.multiply(guess, 0.5, out=guess)
-        np.minimum(guess, d - 1, out=guess)
         np.copyto(labels, guess, casting="unsafe")
-        # the labels lie in 0..d-1, so "clip" never clips; it spares
-        # the copy that np.take makes of out= under "raise"
+        # "clip" takes a guess past d as d, which fails the check; it
+        # spares the copy that np.take makes of out= under "raise"
         np.take(lower, labels, out=guess, mode="clip")
         np.less_equal(guess, u, out=hit)
-        np.take(edges, labels, out=guess, mode="clip")
+        np.take(upper, labels, out=guess, mode="clip")
         np.less(u, guess, out=below)
         np.logical_and(hit, below, out=hit)
         if not hit.all():
-            miss = np.flatnonzero(np.logical_not(hit, out=hit))
-            labels[miss] = np.searchsorted(edges, u[miss], "right")
+            miss = np.nonzero(np.logical_not(hit, out=hit))
+            # u < 1, the last edge, so no search returns d
+            labels[miss] = np.searchsorted(upper, u[miss], "right")
         return labels
 
     return label
@@ -176,14 +182,21 @@ def sample_items(spec: GeneratorSpec, rng: np.random.Generator | None = None) ->
 
 
 def _label_counts(spec: GeneratorSpec, labels: np.ndarray) -> np.ndarray:
-    # Per-category counts of the items sample_items makes of the
-    # 0-based labels: their bincount, then the corruption's map of it.
-    counts = np.bincount(labels, minlength=spec.d)
+    # Per-category counts of the items sample_items makes of a vector
+    # of 0-based labels, or of each row of a block of them: their
+    # bincount, then the corruption's map of it. A block's rows share
+    # one bincount, row r's labels offset by r * d in place.
+    rows = len(labels) if labels.ndim == 2 else 1
+    if rows > 1:
+        labels += spec.d * np.arange(rows)[:, None]
+    counts = np.bincount(labels.ravel(), minlength=spec.d * rows).reshape(*labels.shape[:-1], spec.d)
     if spec.corruption == "even_m":
-        return np.concatenate([counts, counts])
+        return np.concatenate([counts, counts], axis=-1)
     if spec.corruption == "even_n":
-        return 2 * counts
-    return counts + _FILL[spec.corruption]
+        counts *= 2
+    elif _FILL[spec.corruption]:
+        counts += _FILL[spec.corruption]
+    return counts
 
 
 def _sample_counts(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
@@ -236,7 +249,7 @@ def _deal_counts(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
 def _multiplicity_rows(counts: np.ndarray) -> np.ndarray:
     # m_k of each row of per-category counts, in column k (column 0 zero)
     width = int(counts.max(initial=0)) + 1
-    flat = counts + width * np.arange(len(counts))[:, None]
+    flat = counts + width * np.arange(len(counts))[:, None] if len(counts) > 1 else counts
     mult = np.bincount(flat.ravel(), minlength=width * len(counts)).reshape(len(counts), width)
     mult[:, 0] = 0
     return mult
@@ -246,25 +259,34 @@ def _sample_multiplicities(spec: GeneratorSpec, seed: int, reps: range):
     """Yield the multiplicity rows (m_k in column k) of the profiles of
     repetitions ``reps``, rep r drawn from a fresh Philox keyed by
     (seed XOR r) mod 2**64, with the uniform each draws right after its
-    profile (the harness's control), in blocks: one block for all the
-    card deals, one row at a time for the iid kinds so that no block is
-    wider than one profile's largest count. One generator is re-keyed
-    for every rep, and the iid kinds draw and label every rep in buffers
-    made once."""
+    profile (the harness's control), in blocks of consecutive reps: one
+    block for all the card deals, and for the iid kinds blocks of as
+    many reps as keep the draws, the counts (2d of them for even_m) and
+    the multiplicity rows, which are at most n + 1 wide, within _BUDGET
+    cells. One generator is re-keyed for every rep, and the block matrix
+    and the label map's buffers are made once."""
     rngs = _rekeyed(seed ^ rep for rep in reps)
+    draw = _draw_count(spec)
     if spec.kind == "cards":
-        # a hand's n offsets and then its control, in one call into its
-        # row: the same doubles as random(n) followed by random()
-        draws = np.empty((len(reps), _draw_count(spec) + 1))
-        for rng, row in zip(rngs, draws):
+        block = max(len(reps), 1)
+        count = functools.partial(_deal_counts, spec)
+    else:
+        cells = max(draw, spec.d * (2 if spec.corruption == "even_m" else 1), spec.n + 1)
+        block = max(min(len(reps), _BUDGET // cells), 1)
+        label = _labeller(spec, (block, draw))
+
+        def count(u: np.ndarray) -> np.ndarray:
+            return _label_counts(spec, label(u))
+
+    # a rep's draws and then its control, in one call into its row: the
+    # same doubles as random(draw) followed by random()
+    draws = np.empty((block, draw + 1))
+    for lo in range(0, len(reps), block):
+        rows = draws[: len(reps) - lo]
+        # zip takes a row first, so no generator is pulled past the block
+        for row, rng in zip(rows, rngs):
             rng.random(out=row)
-        yield _multiplicity_rows(_deal_counts(spec, draws[:, :-1])), draws[:, -1]
-        return
-    u = np.empty(_draw_count(spec))
-    label = _labeller(spec, u.size)
-    for rng in rngs:
-        rng.random(out=u)
-        yield _multiplicity_rows(_label_counts(spec, label(u))[None, :]), np.array([rng.random()])
+        yield _multiplicity_rows(count(rows[:, :-1])), rows[:, -1].copy()
 
 
 def sample(
@@ -310,13 +332,20 @@ def expected_mk(theta: np.ndarray, n: int, k_max: int) -> np.ndarray:
         raise ValueError(f"need n >= 0 and k_max >= 1, got n={n}, k_max={k_max}")
     out = np.zeros(k_max + 1)
     out[0] = np.nan
-    inner = (theta > 0.0) & (theta < 1.0)
-    log_t = np.log(theta[inner])
-    log_1mt = np.log1p(-theta[inner])
-    if inner.any():
+    inner = theta[(theta > 0.0) & (theta < 1.0)]
+    # logsumexp of d equal terms adds numpy's log of d, the count of
+    # maxima, to the term (scipy 1.10 to 1.17), so d equal weights take
+    # one category's term and keep the sum's bits
+    tied = inner.size > 1 and bool((inner == inner[0]).all())
+    if tied:
+        log_d, inner = np.log(float(inner.size)), inner[:1]
+    log_t = np.log(inner)
+    log_1mt = np.log1p(-inner)
+    if inner.size:
         for k in range(1, min(k_max, n) + 1):
             log_coef = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-            out[k] = math.exp(logsumexp(log_coef + k * log_t + (n - k) * log_1mt))
+            terms = log_coef + k * log_t + (n - k) * log_1mt
+            out[k] = math.exp(log_d + terms[0] if tied else logsumexp(terms))
     if 1 <= n <= k_max:
         # a category of mass 1 holds all n draws
         out[n] += np.count_nonzero(theta == 1.0)

@@ -29,6 +29,7 @@ from .generators import (
     _labeller,
     _rekeyed,
     _sample_counts,
+    _sample_multiplicities,
     expected_mk,
     sample,
     sample_items,
@@ -300,6 +301,10 @@ def _check_sampler_determinism() -> tuple[bool, str]:
         # n = 0 takes the fill floor, n = d for no_empty and 2d for no_unique
         specs.append(GeneratorSpec(kind=kind, n=max(n, _FILL[corruption] * d), d=d, corruption=corruption))
     for spec in specs:
+        # the harness's sampler draws reps in blocks, each rep r keyed by
+        # key XOR r: 230 reps cross a block of 2**17 // 601 = 218 at
+        # n = 600, and at n = 1e5 every rep is a block of its own
+        reps = range(3, 5 if spec.n > 10**4 else 233)
         for key in (907, 2**64 - 1):
             rngs = [np.random.Generator(np.random.Philox(key=key)) for _ in range(4)]
             profile = sample(spec, rng=rngs[0])
@@ -311,6 +316,16 @@ def _check_sampler_determinism() -> tuple[bool, str]:
                 return False, f"sample differs from its items for {spec} at key {key}"
             if len({rng.random() for rng in rngs}) != 1:
                 return False, f"a path to {spec} drew other than {_draw_count(spec)} uniforms at key {key}"
+            blocks = _sample_multiplicities(spec, key, reps)
+            drawn = [pair for rows, controls in blocks for pair in zip(rows, controls)]
+            if len(drawn) != len(reps):
+                return False, f"block sampler drew {len(drawn)} of {len(reps)} reps of {spec} at key {key}"
+            for rep, (row, control) in zip(reps, drawn):
+                rng = np.random.Generator(np.random.Philox(key=key ^ rep))
+                want = np.bincount(_sample_counts(spec, rng))
+                want[0] = 0
+                if not np.array_equal(np.trim_zeros(row, "b"), np.trim_zeros(want, "b")) or control != rng.random():
+                    return False, f"block sampler differs from one draw for {spec} at key {key}, rep {rep}"
             cases += 1
     # the iid label map against its oracle, a binary search of the
     # edges, on draws, on every edge and on both neighbours of each

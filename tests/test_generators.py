@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
+from iidtest.definitions import _FILL
 from iidtest.generators import (
     GeneratorSpec,
     _deal,
@@ -323,28 +324,41 @@ def test_sample_multiplicities_deals_2049_reps_from_a_nonzero_rep():
         assert control == ref.random()
 
 
+# iid specs with the reps of a block of each size: one, since the
+# d = 200 000 categories alone pass the budget; 2**17 // 1001 = 130,
+# which the 300 reps below cross twice; and every rep of the range,
+# where a block of 2**17 // 101 = 1297 would be more
+_BLOCK_SPECS = [
+    (GeneratorSpec("uniform", n=300 + _FILL[c] * 200_000, d=200_000, corruption=c), 1, 44)
+    for c in _CORRUPTION_NAMES
+] + [(GeneratorSpec("uniform", n=1000, d=100, corruption=c), 130, 300) for c in _CORRUPTION_NAMES] + [
+    (GeneratorSpec("linear", n=100, d=10, corruption=c), None, 300) for c in _CORRUPTION_NAMES
+]
+
+
 @pytest.mark.parametrize(
-    "spec",
+    "spec, block, length",
     [
-        GeneratorSpec("cards", n=65, decks=2),
-        GeneratorSpec("cards", n=0),
-        GeneratorSpec("uniform", n=300, d=40),
-        GeneratorSpec("linear", n=0, d=3, corruption="even_m"),
-        GeneratorSpec("uniform", n=500, d=1),
-        GeneratorSpec("linear", n=90, d=30, corruption="no_empty"),
+        (GeneratorSpec("cards", n=65, decks=2), None, 44),
+        (GeneratorSpec("cards", n=0), None, 44),
+        (GeneratorSpec("uniform", n=300, d=40), None, 44),
+        (GeneratorSpec("linear", n=0, d=3, corruption="even_m"), None, 44),
+        (GeneratorSpec("uniform", n=500, d=1), None, 44),
+        (GeneratorSpec("linear", n=90, d=30, corruption="no_empty"), None, 44),
+        *_BLOCK_SPECS,
     ],
 )
-def test_sample_multiplicities_match_sample(spec):
+def test_sample_multiplicities_match_sample(spec, block, length):
     # rep r is keyed by (seed XOR r) mod 2**64: keys 0 up, keys with the
-    # top bit set, and seeds of either sign past 64 bits
-    for seed, reps in [
-        (0, range(44)),
-        (2**63 + 100, range(2**63 - 3, 2**63 + 41)),
-        (-(2**40) - 3, range(7, 51)),
-        (2**64 + 2**63 + 11, range(100, 144)),
-    ]:
+    # top bit set, and seeds of either sign past 64 bits; every block but
+    # the last holds `block` reps (all of them when None)
+    for seed, start in [(0, 0), (2**63 + 100, 2**63 - 3), (-(2**40) - 3, 7), (2**64 + 2**63 + 11, 100)]:
+        reps = range(start, start + length)
         blocks = list(_sample_multiplicities(spec, seed, reps))
-        rows = [row for block, _ in blocks for row in block]
+        sizes = [len(rows) for rows, _ in blocks]
+        whole, rest = divmod(length, block or length)
+        assert sizes == [block or length] * whole + [rest] * (rest > 0)
+        rows = [row for mult, _ in blocks for row in mult]
         follow = np.concatenate([draws for _, draws in blocks])
         assert len(rows) == follow.size == len(reps)
         for rep, row, draw in zip(reps, rows, follow):
@@ -455,6 +469,12 @@ def test_labeller_matches_searchsorted_on_draws_and_every_edge(kind, d, key):
     u = np.append(u[u < 1.0], [0.0, np.nextafter(1.0, 0.0)])
     want = np.searchsorted(edges, u, "right")
     assert np.array_equal(_labeller(GeneratorSpec(kind, n=0, d=d), u.size)(u), want)
+    # two rows of a block matrix beside their controls, fewer rows than
+    # the buffers hold
+    block = np.zeros((2, u.size + 1))
+    block[:, :-1] = u, u[::-1]
+    labelled = _labeller(GeneratorSpec(kind, n=0, d=d), (3, u.size))(block[:, :-1])
+    assert np.array_equal(labelled, [want, want[::-1]])
     draw = types.SimpleNamespace(random=lambda size: u.copy())
     for corruption, corrupted in _CORRUPTED.items():
         items = corrupted(want + 1, d)
@@ -519,6 +539,15 @@ def test_expected_mk_point_mass_is_direct():
         ([0.3, 0.7], 0, 3),
     ]:
         theta = np.array(theta)
+        assert expected_mk(theta, n, k_max).tobytes() == _expected_mk_loop(theta, n, k_max).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 52, 33_333, 10**6])
+def test_expected_mk_of_equal_weights_keeps_the_bits_of_the_sum(d):
+    # equal weights take one category's term plus log(d), in place of
+    # the logsumexp of d equal terms, and must give that sum's bits
+    theta = make_theta("uniform", d)
+    for n, k_max in [(0, 3), (1, 2), (65, 4), (1000, 40), (100_000, 16), (10**9, 6)]:
         assert expected_mk(theta, n, k_max).tobytes() == _expected_mk_loop(theta, n, k_max).tobytes()
 
 

@@ -532,3 +532,29 @@ def test_memory_does_not_grow_with_the_largest_count():
     assert peak < 16e6
     assert totals.tolist() == [0] * 100_000 + [200] and first[100_000] == 1
     assert pvalues.shape == (len(cfg.labels), 200)
+
+
+@pytest.mark.parametrize(
+    "d, reps, bound",
+    [
+        # 130 reps a block: its draws, guesses and labels take about 1 MB
+        # each (measured peak 3.8 MB), where the chunk's 1024 x 1001 draws
+        # in one matrix would take 8.2 MB by themselves
+        (100, 1024, 6e6),
+        # one rep a block: the label map's two tables of 10**6 + 1 edges
+        # and the rep's 10**6 counts take 8 MB each (measured peak 24.1 MB);
+        # each further rep in a block would add 8 MB of counts
+        (10**6, 64, 30e6),
+    ],
+)
+def test_chunk_memory_stays_within_the_block_budget(d, reps, bound):
+    cfg = suite_config(GeneratorSpec("uniform", n=1000, d=d), reps=reps)
+    tracemalloc.start()
+    try:
+        pvalues, totals, _ = _run_chunk(cfg, 0, reps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert pvalues.shape == (len(cfg.labels), reps)
+    assert (totals * np.arange(totals.size)).sum() == 1000 * reps
