@@ -54,7 +54,7 @@ from .definitions import (
     VarianceSource,
     parse_kind,
 )
-from .numerics import log_binomial_pmf, log_cn, log_normal_sf
+from .numerics import log_binomial_pmf, log_cn
 
 __all__ = [
     "Mode",
@@ -276,14 +276,32 @@ def _clamp_p(log_p: float) -> float:
     return p if p > 0.0 else _TINY_P
 
 
-def _charge(log_p, n: int):
-    # the c_n charge, never above 0: float or array in, array out
-    log_p = log_p + log_cn(n)
-    return np.where(log_p < 0.0, log_p, 0.0)
-
-
-def _bernstein_log_p(gap, v_ub_det, b: int):
-    return -gap * gap / 2.0 / (v_ub_det + b * gap / 3.0)
+@np.errstate(over="ignore")  # a value past the largest float is inf, as in Python
+def _tail(stat, tau, var, ranges, charged, n):
+    """z, log_p and p of each statistic over its bound, one row per test:
+    where z > 0, row t takes the Bernstein tail of range ranges[t], or the
+    Gaussian tail if that is 0, charged ln c_n (capped at 0) if
+    charged[t]; elsewhere log_p = 0 and p = 1."""
+    z, log_p, p = np.broadcast_to(_UNREAD[3:], (3, *stat.shape)).copy()
+    np.divide(stat - tau, np.sqrt(var), out=z, where=var > 0.0)
+    # a zero variance puts z at 0 for a statistic at or below its bound
+    # and at inf above it; a NaN one leaves z NaN
+    np.copyto(z, np.where(stat <= tau, 0.0, math.inf), where=var == 0.0)
+    # z > 0 exactly when the statistic is above its bound by an excess
+    # that survives the division
+    tail = gaussian = z > 0.0
+    if any(ranges):
+        ranges = np.broadcast_to(np.array(ranges, dtype=float)[:, None], stat.shape)
+        gaussian, bounded = tail & (ranges == 0.0), tail & (ranges > 0.0)
+        gap = stat[bounded] - tau[bounded]
+        log_p[bounded] = -gap * gap / 2.0 / (var[bounded] + ranges[bounded] * gap / 3.0)
+    log_p[gaussian] = log_ndtr(-z[gaussian])
+    if any(charged):
+        charge = gaussian & np.array(charged)[:, None]
+        if charge.any():  # ln c_n is only needed, and only taken, for a tail
+            log_p[charge] = np.minimum(log_p[charge] + log_cn(n), 0.0)
+    p[tail] = _per_distinct(_clamp_p, log_p[tail])
+    return z, log_p, p
 
 
 def p_value_gaussian(
@@ -299,18 +317,20 @@ def p_value_gaussian(
     z = (statistic - tau_ub)/sqrt(v_ub); any z <= 0 yields p = 1.
     With ``cn_correction`` the log-p is charged ln c_n (capped at 0),
     which turns the Poisson-mode bound into a strictly valid p-value.
+    This is the one-element case of the tail every test runs through.
+    A statistic of +inf is valid; a NaN argument or an infinite tau_ub
+    raises ValueError.
     """
-    if v_ub <= 0.0:
+    if cn_correction and n is None:
+        raise ValueError("cn_correction needs the sample size n")
+    if math.isnan(statistic):
+        raise ValueError("statistic is NaN")
+    if not math.isfinite(tau_ub):
+        raise ValueError(f"tau_ub must be finite, got {tau_ub}")
+    if not v_ub > 0.0:
         raise ValueError(f"v_ub must be positive, got {v_ub}")
-    z = (statistic - tau_ub) / math.sqrt(v_ub)
-    if z <= 0.0:
-        return 0.0, 1.0
-    log_p = log_normal_sf(z)
-    if cn_correction:
-        if n is None:
-            raise ValueError("cn_correction needs the sample size n")
-        log_p = float(_charge(log_p, n))
-    return log_p, _clamp_p(log_p)
+    _, log_p, p = _tail(*np.array([statistic, tau_ub, v_ub], dtype=float).reshape(3, 1, 1), [0], [cn_correction], n)
+    return log_p.item(), p.item()
 
 
 def p_value_bernstein(
@@ -320,16 +340,24 @@ def p_value_bernstein(
 
     Requires a deterministic variance bound ``v_ub_det`` (theoretical,
     never empirical) and the per-item statistic range ``b`` (1 for
-    count/slope, 2 for curvature). The excess statistic - tau_ub must
-    be positive.
+    count/slope, 2 for curvature), finite and positive. The statistic
+    and tau_ub must be finite, and the excess statistic - tau_ub
+    positive. This is the one-element case of the tail every test runs
+    through, so an excess that vanishes against sqrt(v_ub_det) yields
+    p = 1, as it does in run_test.
     """
-    gap = statistic - tau_ub
-    if gap <= 0.0:
+    if not math.isfinite(statistic):
+        raise ValueError(f"bernstein tail needs a finite statistic, got {statistic}")
+    if not math.isfinite(tau_ub):
+        raise ValueError(f"tau_ub must be finite, got {tau_ub}")
+    if not statistic > tau_ub:
         raise ValueError("bernstein tail needs statistic > tau_ub")
-    if v_ub_det <= 0.0:
+    if not v_ub_det > 0.0:
         raise ValueError(f"v_ub_det must be positive, got {v_ub_det}")
-    log_p = _bernstein_log_p(gap, v_ub_det, b)
-    return log_p, _clamp_p(log_p)
+    if not 0.0 < b < math.inf:
+        raise ValueError(f"b must be finite and positive, got {b}")
+    _, log_p, p = _tail(*np.array([statistic, tau_ub, v_ub_det], dtype=float).reshape(3, 1, 1), [b], [False], None)
+    return log_p.item(), p.item()
 
 
 # status codes of _suite_results, a result being applicable below
@@ -405,8 +433,8 @@ def _suite_results(
 
     Each test's options are checked first, even when n < 2. The reads
     become floats once and each test's bounds are computed once; the
-    tails run over all tests and profiles at once, with one log_ndtr
-    call, and exponentials and logarithms are math's, not numpy's.
+    tails run over all tests and profiles at once, in one _tail call,
+    and exponentials and logarithms are math's, not numpy's.
     """
     reads = np.asarray(reads, dtype=float).T  # one row per read
     shape = (len(tests), reads.shape[1])
@@ -446,26 +474,8 @@ def _suite_results(
         # in 10 (README "The logcurv zero rule", ROADMAP item 1).
         upper = status[t] == _UPPER
         stat[t, upper], var[t, upper], v_ub[t, upper] = math.inf, 0.0, math.inf
-    if n < 2:
-        return values, status
-    np.divide(stat - tau, np.sqrt(var), out=z, where=var > 0.0)
-    # a zero variance puts z at 0 for a statistic at or below its bound
-    # and at inf above it
-    np.copyto(z, np.where(stat <= tau, 0.0, math.inf), where=var == 0.0)
-    # z > 0 exactly when the statistic is above its bound by an excess
-    # that survives the division
-    tail = gaussian = z > 0.0
-    if any(ranges):
-        ranges = np.array(ranges, dtype=float)[:, None]
-        gaussian, bounded = tail & (ranges == 0.0), tail & (ranges > 0.0)
-        gap = stat[bounded] - tau[bounded]
-        log_p[bounded] = _bernstein_log_p(gap, var[bounded], np.broadcast_to(ranges, shape)[bounded])
-    log_p[gaussian] = log_ndtr(-z[gaussian])
-    if any(charged):
-        charge = gaussian & np.array(charged)[:, None]
-        if charge.any():  # ln c_n is only needed, and only taken, for a tail
-            log_p[charge] = _charge(log_p[charge], n)
-    p[tail] = _per_distinct(_clamp_p, log_p[tail])
+    if n >= 2:
+        values[3:] = _tail(stat, tau, var, ranges, charged, n)
     return values, status
 
 

@@ -34,7 +34,7 @@ from .generators import (
     sample,
     sample_items,
 )
-from .invariants import FAMILIES, Mode, TestKind, bound_mean, parse_kind, statistic
+from .invariants import FAMILIES, Mode, TestKind, bound_mean, p_value_gaussian, parse_kind, statistic
 from .numerics import (
     log_binomial_pmf,
     log_cn,
@@ -121,19 +121,27 @@ def _check_pmf_normalization() -> tuple[bool, str]:
 
 
 def _check_normal_tail() -> tuple[bool, str]:
+    # log_normal_sf, and p_value_gaussian's log p at z = y: the tail every
+    # test runs through, which takes no tail at y <= 0
+    grid = np.linspace(-6.0, 6.0, 61)
+    tails = [
+        ("log_normal_sf", log_normal_sf, grid),
+        ("p_value_gaussian", lambda y: p_value_gaussian(y, 0.0, 1.0)[0], grid[grid > 0.0]),
+    ]
     # deep-tail anchors frozen from a 40-digit erfc evaluation
     anchors = {5.0: -15.06499839398872573608, 40.0: -804.6084420137537881666}
-    for y, expect in anchors.items():
-        got = log_normal_sf(y)
-        if abs(got - expect) > 1e-10 * abs(expect):
-            return False, f"log tail at y={y}: {got} vs {expect}"
-    # against the complementary error function on a moderate grid, where
-    # 0.5 erfc(y / sqrt 2) keeps its relative precision
-    for y in np.linspace(-6.0, 6.0, 61):
-        want = math.log(0.5 * math.erfc(y / math.sqrt(2.0)))
-        if abs(log_normal_sf(y) - want) > 1e-13 * max(1.0, abs(want)):
-            return False, f"log tail at y={y}: {log_normal_sf(y)} vs ln(erfc/2) {want}"
-    return True, "tail anchors hold and log_normal_sf matches ln(erfc(y/sqrt 2)/2) on [-6, 6]"
+    for name, tail, ys in tails:
+        for y, expect in anchors.items():
+            got = tail(y)
+            if abs(got - expect) > 1e-10 * abs(expect):
+                return False, f"{name} at y={y}: {got} vs {expect}"
+        # against the complementary error function on a moderate grid, where
+        # 0.5 erfc(y / sqrt 2) keeps its relative precision
+        for y in ys:
+            want = math.log(0.5 * math.erfc(y / math.sqrt(2.0)))
+            if abs(tail(y) - want) > 1e-13 * max(1.0, abs(want)):
+                return False, f"{name} at y={y}: {tail(y)} vs ln(erfc/2) {want}"
+    return True, "tail anchors hold; log_normal_sf on [-6, 6] and p_value_gaussian on (0, 6] match ln(erfc(y/sqrt 2)/2)"
 
 
 def _check_cn_factor() -> tuple[bool, str]:

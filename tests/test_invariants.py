@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
@@ -218,6 +218,45 @@ def test_bernstein_vanishing_gap_gives_trivial_p():
     log_p, p = p_value_bernstein(5.0 + 1e-12, 5.0, 2.0, 1.0)
     assert log_p == pytest.approx(0.0, abs=1e-20)
     assert p == 1.0
+
+
+@pytest.mark.parametrize(
+    "func, args, message",
+    [
+        pytest.param(p_value_gaussian, (math.nan, 0.0, 1.0), "statistic is NaN", id="gaussian-nan-statistic"),
+        pytest.param(p_value_gaussian, (1.0, math.nan, 1.0), "tau_ub must be finite, got nan", id="gaussian-nan-tau"),
+        pytest.param(p_value_gaussian, (1.0, 0.0, math.nan), "v_ub must be positive, got nan", id="gaussian-nan-variance"),
+        pytest.param(p_value_gaussian, (1.0, -math.inf, 1.0), "tau_ub must be finite, got -inf", id="gaussian-infinite-tau"),
+        # refused before z is known, here z < 0
+        pytest.param(p_value_gaussian, (1.0, 5.0, 2.0, None, True), "cn_correction needs the sample size n", id="cn-without-n"),
+        pytest.param(p_value_bernstein, (math.nan, 0.0, 1.0, 1.0), "bernstein tail needs a finite statistic, got nan",
+                     id="bernstein-nan-statistic"),
+        pytest.param(p_value_bernstein, (1.0, math.nan, 1.0, 1.0), "tau_ub must be finite, got nan", id="bernstein-nan-tau"),
+        pytest.param(p_value_bernstein, (1.0, 0.0, math.nan, 1.0), "v_ub_det must be positive, got nan",
+                     id="bernstein-nan-variance"),
+        pytest.param(p_value_bernstein, (1.0, -math.inf, 1.0, 1.0), "tau_ub must be finite, got -inf",
+                     id="bernstein-infinite-tau"),
+        pytest.param(p_value_bernstein, (math.inf, 0.0, 1.0, 1.0), "bernstein tail needs a finite statistic, got inf",
+                     id="bernstein-infinite-statistic"),
+        pytest.param(p_value_bernstein, (1.0, 0.0, 1.0, -5.0), "b must be finite and positive, got -5.0",
+                     id="bernstein-negative-range"),
+        pytest.param(p_value_bernstein, (1.0, 0.0, 1.0, 0.0), "b must be finite and positive, got 0.0",
+                     id="bernstein-zero-range"),
+        pytest.param(p_value_bernstein, (1.0, 0.0, 1.0, math.inf), "b must be finite and positive, got inf",
+                     id="bernstein-infinite-range"),
+        pytest.param(p_value_bernstein, (1.0, 0.0, 1.0, math.nan), "b must be finite and positive, got nan",
+                     id="bernstein-nan-range"),
+    ],
+)
+def test_tail_helpers_refuse_bad_arguments(func, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        func(*args)
+
+
+def test_gaussian_pvalue_takes_an_infinite_statistic():
+    assert p_value_gaussian(math.inf, 0.0, 1.0) == (-math.inf, TINY)
+    assert p_value_gaussian(math.inf, 0.0, 1.0, 10, True) == (-math.inf, TINY)
+    assert p_value_gaussian(-math.inf, 0.0, 1.0) == (0.0, 1.0)
 
 
 def test_run_test_count2_on_doubled_profile():
@@ -649,6 +688,63 @@ def test_one_profile_path_matches_the_reference_past_2_63(m):
         assert _outcome(statistic, kind, profile, opts.mode) == _outcome(reference.statistic, kind, profile, opts.mode)
     suite = tuple((kind, TestOptions()) for kind in DEFAULT_SUITE)
     assert _result_bits(_run_suite(suite, profile)) == _result_bits([reference.run_test(k, profile, o) for k, o in suite])
+
+
+def test_one_profile_moments_match_the_reference_where_run_test_has_none():
+    # statistic and bound_variance return values where run_test has none
+    # (n < 2 leaves its fields NaN, k >= n has no multinomial bound), so
+    # they cannot be read off the kernel's results without changing them
+    one, triple = CountProfile(1, {1: 1}), CountProfile(3, {3: 1})
+    assert math.isnan(run_test(TestKind("count", 2), one).statistic)
+    assert statistic(TestKind("count", 2), one) == 0.0
+    assert bound_variance(TestKind("count", 2), one) == pytest.approx(0.18394, abs=1e-5)
+    assert statistic(TestKind("count", 5), triple, Mode.MULTINOMIAL) == 0.0
+    with pytest.raises(ValueError, match="multinomial bounds require k < n"):
+        run_test(TestKind("count", 5), triple, TestOptions(mode=Mode.MULTINOMIAL))
+    for profile in (CountProfile(0, {}), one, triple):
+        for kind, opts in _MEMBERS + _suite_members([TestKind("count", 5)]):
+            assert _outcome(bound_variance, kind, profile, opts) == _outcome(reference.bound_variance, kind, profile, opts)
+            assert _outcome(statistic, kind, profile, opts.mode) == _outcome(reference.statistic, kind, profile, opts.mode)
+
+
+def _reference_tail(tail, stat, tau, var, *rest):
+    # the reference's tail behind run_test's own rule: no tail unless z > 0
+    if not (stat - tau) / math.sqrt(var) > 0.0:
+        return 0.0, 1.0
+    return tail(stat, tau, var, *rest)
+
+
+# finite floats, with subnormal excesses between the small ones
+_LOCATIONS = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e-300, 1e-300)
+_VARIANCES = st.floats(0.0, 1e300, exclude_min=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LOCATIONS, _LOCATIONS, _VARIANCES, st.integers(1, 2**70), st.booleans())
+@example(5e-324, 0.0, 5e-324, 1, False)
+@example(1.7e308, -1.7e308, 1e300, 2**70, True)
+@example(30.0, 0.0, 1.0, 10**6, True)
+def test_p_value_gaussian_matches_the_reference_bit_for_bit(stat, tau, var, n, cn):
+    want = _reference_tail(reference.gaussian, stat, tau, var, n, cn)
+    assert _bits(p_value_gaussian(stat, tau, var, n, cn)) == _bits(want)
+
+
+# The Bernstein tail is NaN once the excess, or b times it, passes the
+# largest float; these bounds keep both finite.
+_EXCESS_ENDS = st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXCESS_ENDS, _EXCESS_ENDS, _VARIANCES, st.floats(0.0, 1e6, exclude_min=True))
+# z underflows to 0, so p = 1 with log_p = 0.0 where the formula alone gives -0.0
+@example(0.0, 1e-300, 1e300, 1.0)
+@example(0.0, 5e-324, 5e-324, 2.0)
+@example(-1e300, 1e300, 1.0, 1e6)
+def test_p_value_bernstein_matches_the_reference_bit_for_bit(x, y, var, b):
+    assume(x != y)
+    tau, stat = sorted((x, y))
+    want = _reference_tail(reference.bernstein, stat, tau, var, b)
+    assert _bits(p_value_bernstein(stat, tau, var, b)) == _bits(want)
 
 
 @pytest.mark.parametrize("n", [0, 1])
