@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# cells per block of iid reps: uniforms drawn, categories counted or
-# multiplicity columns, whichever a rep has most of
+# cells per block of iid reps (uniforms drawn, categories counted or
+# multiplicity columns, whichever a rep has most of) and per stack of rows
 _BUDGET = 2**17
 
 
@@ -181,34 +181,6 @@ def sample_items(spec: GeneratorSpec, rng: np.random.Generator | None = None) ->
     return np.concatenate([labels, np.repeat(np.arange(1, spec.d + 1), _FILL[spec.corruption])])
 
 
-def _label_counts(spec: GeneratorSpec, labels: np.ndarray) -> np.ndarray:
-    # Per-category counts of the items sample_items makes of a vector
-    # of 0-based labels, or of each row of a block of them: their
-    # bincount, then the corruption's map of it. A block's rows share
-    # one bincount, row r's labels offset by r * d in place.
-    rows = len(labels) if labels.ndim == 2 else 1
-    if rows > 1:
-        labels += spec.d * np.arange(rows)[:, None]
-    counts = np.bincount(labels.ravel(), minlength=spec.d * rows).reshape(*labels.shape[:-1], spec.d)
-    if spec.corruption == "even_m":
-        return np.concatenate([counts, counts], axis=-1)
-    if spec.corruption == "even_n":
-        counts *= 2
-    elif _FILL[spec.corruption]:
-        counts += _FILL[spec.corruption]
-    return counts
-
-
-def _sample_counts(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
-    """Counts of faces 1..52 of a cards spec, or of labels 1..d (1..2d
-    for even_m) of an iid-kind spec, equal to the bincount of
-    sample_items with the same generator."""
-    u = rng.random(_draw_count(spec))
-    if spec.kind == "cards":
-        return _deal_counts(spec, u[None, :])[0]
-    return _label_counts(spec, _labeller(spec, u.size)(u))
-
-
 def _deal(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
     """The faces 0..51 a partial Fisher-Yates shuffle of the pool of
     52 * decks cards deals from each row of the (hands x n) matrix of
@@ -246,47 +218,90 @@ def _deal_counts(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
     return np.bincount(dealt.ravel(), minlength=52 * hands).reshape(hands, 52)
 
 
+def _row_counts(values: np.ndarray, width: int) -> np.ndarray:
+    # counts of 0..width-1 in each row of values, by one bincount: row r
+    # is offset by r * width in place, and a lone row is not
+    rows = len(values)
+    if rows > 1:
+        values += width * np.arange(rows)[:, None]
+    return np.bincount(values.ravel(), minlength=width * rows).reshape(rows, width)
+
+
+def _counter(spec: GeneratorSpec, shape: tuple[int, int]) -> Callable[[np.ndarray], np.ndarray]:
+    """The count map of a spec for blocks of uniforms of ``shape``, or of
+    fewer rows: row r of ``count(u)`` counts faces 1..52, or labels 1..d
+    (1..2d for even_m), in the items sample_items makes of row r of u."""
+    if spec.kind == "cards":
+        return functools.partial(_deal_counts, spec)
+    label = _labeller(spec, shape)
+
+    def count(u: np.ndarray) -> np.ndarray:
+        counts = _row_counts(label(u), spec.d)
+        if spec.corruption == "even_m":
+            return np.concatenate([counts, counts], axis=1)
+        if spec.corruption == "even_n":
+            counts *= 2
+        elif _FILL[spec.corruption]:
+            counts += _FILL[spec.corruption]
+        return counts
+
+    return count
+
+
 def _multiplicity_rows(counts: np.ndarray) -> np.ndarray:
-    # m_k of each row of per-category counts, in column k (column 0 zero)
-    width = int(counts.max(initial=0)) + 1
-    flat = counts + width * np.arange(len(counts))[:, None] if len(counts) > 1 else counts
-    mult = np.bincount(flat.ravel(), minlength=width * len(counts)).reshape(len(counts), width)
+    # m_k of each row of per-category counts, offset in place, in column k
+    mult = _row_counts(counts, int(counts.max(initial=0)) + 1)
     mult[:, 0] = 0
     return mult
+
+
+def _stacked(blocks: list[np.ndarray]) -> np.ndarray:
+    # blocks of multiplicity rows as one, zero-padded to the widest
+    stack = np.zeros((sum(map(len, blocks)), max(block.shape[1] for block in blocks)), dtype=np.int64)
+    row = 0
+    for block in blocks:
+        stack[row : row + len(block), : block.shape[1]] = block
+        row += len(block)
+    return stack
 
 
 def _sample_multiplicities(spec: GeneratorSpec, seed: int, reps: range):
     """Yield the multiplicity rows (m_k in column k) of the profiles of
     repetitions ``reps``, rep r drawn from a fresh Philox keyed by
     (seed XOR r) mod 2**64, with the uniform each draws right after its
-    profile (the harness's control), in blocks of consecutive reps: one
-    block for all the card deals, and for the iid kinds blocks of as
-    many reps as keep the draws, the counts (2d of them for even_m) and
-    the multiplicity rows, which are at most n + 1 wide, within _BUDGET
-    cells. One generator is re-keyed for every rep, and the block matrix
-    and the label map's buffers are made once."""
+    profile (the harness's control), in stacks of consecutive reps.
+    Reps are counted in blocks: one for all the card deals, and for the
+    iid kinds as many reps as keep the draws, the counts (2d for even_m)
+    and the multiplicity rows, at most n + 1 wide, within _BUDGET cells.
+    Blocks are stacked, zero-padded, while rows x width stays within
+    _BUDGET; a wider block is a stack of its own. One generator is
+    re-keyed for every rep, and the buffers are made once."""
     rngs = _rekeyed(seed ^ rep for rep in reps)
     draw = _draw_count(spec)
     if spec.kind == "cards":
         block = max(len(reps), 1)
-        count = functools.partial(_deal_counts, spec)
     else:
         cells = max(draw, spec.d * (2 if spec.corruption == "even_m" else 1), spec.n + 1)
         block = max(min(len(reps), _BUDGET // cells), 1)
-        label = _labeller(spec, (block, draw))
-
-        def count(u: np.ndarray) -> np.ndarray:
-            return _label_counts(spec, label(u))
-
+    count = _counter(spec, (block, draw))
     # a rep's draws and then its control, in one call into its row: the
     # same doubles as random(draw) followed by random()
-    draws = np.empty((block, draw + 1))
+    draws, controls = np.empty((block, draw + 1)), np.empty(len(reps))
+    stack, start, width = [], 0, 0
     for lo in range(0, len(reps), block):
         rows = draws[: len(reps) - lo]
         # zip takes a row first, so no generator is pulled past the block
         for row, rng in zip(rows, rngs):
             rng.random(out=row)
-        yield _multiplicity_rows(count(rows[:, :-1])), rows[:, -1].copy()
+        controls[lo : lo + len(rows)] = rows[:, -1]
+        mult = _multiplicity_rows(count(rows[:, :-1]))
+        width = max(width, mult.shape[1])
+        if stack and (lo + len(mult) - start) * width > _BUDGET:
+            yield _stacked(stack), controls[start:lo]
+            stack, start, width = [], lo, mult.shape[1]
+        stack.append(mult)
+    if stack:
+        yield _stacked(stack), controls[start:]
 
 
 def sample(
@@ -299,9 +314,10 @@ def sample(
 
     The profile, and the generator state afterwards, equal those of
     ``sample_items`` with the same generator. It takes the Monte Carlo
-    harness's path: iid kinds are labelled by the label map
-    ``sample_items`` uses and counted, and cards are dealt by the chunk
-    dealer.
+    harness's path: it draws its uniforms as a block of one row and
+    counts that row with the harness's count map, which labels iid
+    kinds by the label map ``sample_items`` uses and deals cards by the
+    chunk dealer.
 
     ``keep_first_order`` must be False: profiles carry no per-label
     counts. It stays only while the benchmark's traced replay passes
@@ -311,7 +327,8 @@ def sample(
         raise ValueError("profiles keep no first-order counts; keep_first_order must be False")
     if rng is None:
         rng = _rng(spec.seed)
-    [mult] = _multiplicity_rows(_sample_counts(spec, rng)[None, :])
+    u = rng.random((1, _draw_count(spec)))
+    [mult] = _multiplicity_rows(_counter(spec, u.shape)(u))
     return CountProfile(spec.n, {int(k): int(mult[k]) for k in np.flatnonzero(mult)})
 
 

@@ -7,10 +7,10 @@ function of the config and in particular independent of how
 repetitions are distributed over workers. They are cut once into
 chunks, which ``map`` or the pool's ``map`` runs; the parent fills one
 table, allocated first, in repetition order. Each chunk's sampler keys
-every repetition itself, re-keying one Philox rather than building
-one per repetition. A uniform control p-value ("u") is recorded per
-repetition; its rejection curve should hug the diagonal, which
-catches harness bugs rather than test failures.
+every repetition itself, re-keying one Philox rather than building one
+per repetition, and stacks their multiplicity rows. A uniform control
+p-value ("u") is recorded per repetition; its rejection curve should
+hug the diagonal, which catches harness bugs rather than test failures.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .counts import _is_int
 from .definitions import _check_suite
-from .generators import _BUDGET, GeneratorSpec, _sample_multiplicities, expected_mk, reference_theta
+from .generators import GeneratorSpec, _sample_multiplicities, expected_mk, reference_theta
 from .invariants import (
     TestKind,
     TestOptions,
@@ -164,7 +164,7 @@ def rejection_curve(pvalues: Sequence[float], alpha_grid: Iterable[float]) -> li
 
 
 # reps per vectorised pass: bounds the per-pass arrays, not the results;
-# within a pass, blocks of multiplicity rows are read up to _BUDGET cells
+# within a pass, the sampler's stacks of multiplicity rows are read
 _CHUNK = 1024
 
 
@@ -176,40 +176,13 @@ def _add_counts(totals: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _stacked(blocks: list) -> tuple[np.ndarray, np.ndarray]:
-    # (multiplicity rows, controls) blocks as one, the rows zero-padded
-    if len(blocks) == 1:
-        return blocks[0]
-    mult = np.zeros((sum(len(m) for m, _ in blocks), max(m.shape[1] for m, _ in blocks)), dtype=np.int64)
-    row = 0
-    for m, _ in blocks:
-        mult[row : row + len(m), : m.shape[1]] = m
-        row += len(m)
-    return mult, np.concatenate([control for _, control in blocks])
-
-
-def _stacks(blocks):
-    """The sampler's (multiplicity rows, controls) blocks in as few
-    stacks as keep rows x width within _BUDGET cells; a block wider than
-    that is a stack of its own, so nothing grows with the largest count."""
-    stack, rows, width = [], 0, 0
-    for mult, control in blocks:
-        if stack and (rows + len(mult)) * max(width, mult.shape[1]) > _BUDGET:
-            yield _stacked(stack)
-            stack, rows, width = [], 0, 0
-        stack.append((mult, control))
-        rows, width = rows + len(mult), max(width, mult.shape[1])
-    if stack:
-        yield _stacked(stack)
-
-
 def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
     """Repetitions lo..hi-1, at most _CHUNK: their p-values (one row per
     label, the control last), the sum of their multiplicity vectors
     (m_k at index k) and the multiplicity vector of repetition lo."""
     spec = cfg.generator
     reads, controls, totals, first = [], [], np.zeros(1, dtype=np.int64), None
-    for mult, control in _stacks(_sample_multiplicities(spec, cfg.seed, range(lo, hi))):
+    for mult, control in _sample_multiplicities(spec, cfg.seed, range(lo, hi)):
         reads.append(_suite_reads(cfg.tests, spec.n, mult))
         controls.append(control)
         totals = _add_counts(totals, mult.sum(axis=0))

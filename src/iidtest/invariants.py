@@ -293,8 +293,12 @@ def _tail(stat, tau, var, ranges, charged, n):
     if any(ranges):
         ranges = np.broadcast_to(np.array(ranges, dtype=float)[:, None], stat.shape)
         gaussian, bounded = tail & (ranges == 0.0), tail & (ranges > 0.0)
-        gap = stat[bounded] - tau[bounded]
-        log_p[bounded] = -gap * gap / 2.0 / (var[bounded] + ranges[bounded] * gap / 3.0)
+        gap, v, b = stat[bounded] - tau[bounded], var[bounded], ranges[bounded]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            exact = -gap * gap / 2.0 / (v + b * gap / 3.0)
+            # past the largest float gap * gap is inf, and inf / inf NaN;
+            # the equal form with gap divided out is finite or -inf
+            log_p[bounded] = np.where(np.isfinite(exact), exact, -gap / 2.0 / (v / gap + b / 3.0))
     log_p[gaussian] = log_ndtr(-z[gaussian])
     if any(charged):
         charge = gaussian & np.array(charged)[:, None]
@@ -318,8 +322,8 @@ def p_value_gaussian(
     With ``cn_correction`` the log-p is charged ln c_n (capped at 0),
     which turns the Poisson-mode bound into a strictly valid p-value.
     This is the one-element case of the tail every test runs through.
-    A statistic of +inf is valid; a NaN argument or an infinite tau_ub
-    raises ValueError.
+    A statistic of +inf is valid; a NaN argument, an infinite tau_ub or
+    an infinite v_ub raises ValueError.
     """
     if cn_correction and n is None:
         raise ValueError("cn_correction needs the sample size n")
@@ -329,6 +333,8 @@ def p_value_gaussian(
         raise ValueError(f"tau_ub must be finite, got {tau_ub}")
     if not v_ub > 0.0:
         raise ValueError(f"v_ub must be positive, got {v_ub}")
+    if v_ub == math.inf:
+        raise ValueError("v_ub must be finite, got inf")
     _, log_p, p = _tail(*np.array([statistic, tau_ub, v_ub], dtype=float).reshape(3, 1, 1), [0], [cn_correction], n)
     return log_p.item(), p.item()
 
@@ -340,11 +346,14 @@ def p_value_bernstein(
 
     Requires a deterministic variance bound ``v_ub_det`` (theoretical,
     never empirical) and the per-item statistic range ``b`` (1 for
-    count/slope, 2 for curvature), finite and positive. The statistic
-    and tau_ub must be finite, and the excess statistic - tau_ub
-    positive. This is the one-element case of the tail every test runs
-    through, so an excess that vanishes against sqrt(v_ub_det) yields
-    p = 1, as it does in run_test.
+    count/slope, 2 for curvature), both finite and positive; an infinite
+    v_ub_det raises ValueError. The statistic and tau_ub must be finite,
+    and the excess statistic - tau_ub positive. An excess whose square,
+    or whose product with b, passes the largest float still gets its
+    log p, -inf only where that passes the largest float too. This is
+    the one-element case of the tail every test runs through, so an
+    excess that vanishes against sqrt(v_ub_det) yields p = 1, as it
+    does in run_test.
     """
     if not math.isfinite(statistic):
         raise ValueError(f"bernstein tail needs a finite statistic, got {statistic}")
@@ -354,6 +363,8 @@ def p_value_bernstein(
         raise ValueError("bernstein tail needs statistic > tau_ub")
     if not v_ub_det > 0.0:
         raise ValueError(f"v_ub_det must be positive, got {v_ub_det}")
+    if v_ub_det == math.inf:
+        raise ValueError("v_ub_det must be finite, got inf")
     if not 0.0 < b < math.inf:
         raise ValueError(f"b must be finite and positive, got {b}")
     _, log_p, p = _tail(*np.array([statistic, tau_ub, v_ub_det], dtype=float).reshape(3, 1, 1), [b], [False], None)

@@ -23,12 +23,12 @@ from .counts import CountProfile
 from .definitions import _CORRUPTIONS, _FILL, SUITE_NAMES
 from .generators import (
     GeneratorSpec,
+    _counter,
     _deal,
     _draw_count,
     _edges,
     _labeller,
     _rekeyed,
-    _sample_counts,
     _sample_multiplicities,
     expected_mk,
     sample,
@@ -299,9 +299,9 @@ def _check_sampler_determinism() -> tuple[bool, str]:
     c = sample(GeneratorSpec(kind="linear", n=500, d=40, corruption="no_empty", seed=906))
     if a == c:
         return False, "distinct seeds collided"
-    # sample counts per category; the labelled items drawn from the
-    # same generator must give the same counts, and every path must
-    # leave it where drawing the spec's uniforms leaves a fresh one
+    # the count map on one row, and the items drawn from the same
+    # generator, corrupted as items, must give the same counts; every
+    # path must leave it where drawing the spec's uniforms leaves one
     cases = 0
     sizes = ((0, 1), (0, 250), (600, 1), (600, 250), (100_000, 33_333))
     specs = [GeneratorSpec(kind="cards", n=n, decks=decks) for n, decks in ((0, 1), (65, 2), (104, 2))]
@@ -312,25 +312,25 @@ def _check_sampler_determinism() -> tuple[bool, str]:
         # the harness's sampler draws reps in blocks, each rep r keyed by
         # key XOR r: 230 reps cross a block of 2**17 // 601 = 218 at
         # n = 600, and at n = 1e5 every rep is a block of its own
-        reps = range(3, 5 if spec.n > 10**4 else 233)
+        reps, draw = range(3, 5 if spec.n > 10**4 else 233), _draw_count(spec)
         for key in (907, 2**64 - 1):
             rngs = [np.random.Generator(np.random.Philox(key=key)) for _ in range(4)]
             profile = sample(spec, rng=rngs[0])
-            counts = _sample_counts(spec, rngs[1])
+            [counts] = _counter(spec, (1, draw))(rngs[1].random((1, draw)))
             labelled = np.bincount(sample_items(spec, rng=rngs[2]), minlength=counts.size + 1)[1:]
-            rngs[3].random(_draw_count(spec))
+            rngs[3].random(draw)
             mult = Counter(labelled[labelled > 0].tolist())
             if not np.array_equal(counts, labelled) or profile.multiplicities != mult:
                 return False, f"sample differs from its items for {spec} at key {key}"
             if len({rng.random() for rng in rngs}) != 1:
-                return False, f"a path to {spec} drew other than {_draw_count(spec)} uniforms at key {key}"
-            blocks = _sample_multiplicities(spec, key, reps)
-            drawn = [pair for rows, controls in blocks for pair in zip(rows, controls)]
+                return False, f"a path to {spec} drew other than {draw} uniforms at key {key}"
+            stacks = _sample_multiplicities(spec, key, reps)
+            drawn = [pair for rows, controls in stacks for pair in zip(rows, controls)]
             if len(drawn) != len(reps):
                 return False, f"block sampler drew {len(drawn)} of {len(reps)} reps of {spec} at key {key}"
             for rep, (row, control) in zip(reps, drawn):
                 rng = np.random.Generator(np.random.Philox(key=key ^ rep))
-                want = np.bincount(_sample_counts(spec, rng))
+                want = np.bincount(np.bincount(sample_items(spec, rng=rng), minlength=1))
                 want[0] = 0
                 if not np.array_equal(np.trim_zeros(row, "b"), np.trim_zeros(want, "b")) or control != rng.random():
                     return False, f"block sampler differs from one draw for {spec} at key {key}, rep {rep}"

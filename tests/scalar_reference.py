@@ -109,6 +109,11 @@ def gaussian(statistic, tau_ub, v_ub, n, cn_correction):
 def bernstein(statistic, tau_ub, v_ub_det, b):
     gap = statistic - tau_ub
     log_p = -gap * gap / 2.0 / (v_ub_det + b * gap / 3.0)
+    if not math.isfinite(log_p):
+        # past the largest float: the same quotient with gap divided out,
+        # -inf where its denominator underflows to 0
+        scale = v_ub_det / gap + b / 3.0
+        log_p = -gap / 2.0 / scale if scale else -math.inf
     return log_p, clamp_p(log_p)
 
 

@@ -12,17 +12,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
+from iidtest import generators
 from iidtest.definitions import _FILL
 from iidtest.generators import (
+    _BUDGET,
     GeneratorSpec,
+    _counter,
     _deal,
     _deal_counts,
     _edges,
-    _label_counts,
     _labeller,
     _listed,
     _rekeyed,
-    _sample_counts,
     _sample_multiplicities,
     expected_mk,
     make_theta,
@@ -159,6 +160,11 @@ def _philox(key):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _count_row(spec, u):
+    # the count map on one row of uniforms, as sample counts its draw
+    return _counter(spec, (1, len(u)))(np.reshape(u, (1, -1)))[0]
+
+
 # the uniforms a spec's items take, as GeneratorSpec documents each corruption
 _UNIFORMS = {
     "none": lambda n, d: n,
@@ -179,9 +185,10 @@ def _assert_sample_matches_labels(spec, key, **sample_kwargs):
     profile = sample(spec, rng=fast_rng, **sample_kwargs)
     assert profile.n == items.size == spec.n
     assert profile.multiplicities == Counter(Counter(items.tolist()).values())
-    counts = _sample_counts(spec, count_rng)
+    uniforms = _UNIFORMS[spec.corruption](spec.n, spec.d)
+    counts = _count_row(spec, count_rng.random(uniforms))
     assert np.array_equal(counts, np.bincount(items, minlength=counts.size + 1)[1:])
-    drawn.random(_UNIFORMS[spec.corruption](spec.n, spec.d))
+    drawn.random(uniforms)
     for rng in (fast_rng, count_rng, slow_rng):
         assert _listed(rng.bit_generator.state) == _listed(drawn.bit_generator.state)
 
@@ -327,13 +334,15 @@ def test_sample_multiplicities_deals_2049_reps_from_a_nonzero_rep():
 # iid specs with the reps of a block of each size: one, since the
 # d = 200 000 categories alone pass the budget; 2**17 // 1001 = 130,
 # which the 300 reps below cross twice; and every rep of the range,
-# where a block of 2**17 // 101 = 1297 would be more
+# where a block of 2**17 // 101 = 1297 would be more. At n = 20 000 and
+# d = 1 a block holds 2**17 // 20 001 = 6 reps, each row 20 001 wide,
+# so no two blocks fit in one stack
 _BLOCK_SPECS = [
     (GeneratorSpec("uniform", n=300 + _FILL[c] * 200_000, d=200_000, corruption=c), 1, 44)
     for c in _CORRUPTION_NAMES
 ] + [(GeneratorSpec("uniform", n=1000, d=100, corruption=c), 130, 300) for c in _CORRUPTION_NAMES] + [
     (GeneratorSpec("linear", n=100, d=10, corruption=c), None, 300) for c in _CORRUPTION_NAMES
-]
+] + [(GeneratorSpec("uniform", n=20_000, d=1), 6, 44)]
 
 
 @pytest.mark.parametrize(
@@ -348,18 +357,33 @@ _BLOCK_SPECS = [
         *_BLOCK_SPECS,
     ],
 )
-def test_sample_multiplicities_match_sample(spec, block, length):
+def test_sample_multiplicities_match_sample(spec, block, length, monkeypatch):
     # rep r is keyed by (seed XOR r) mod 2**64: keys 0 up, keys with the
-    # top bit set, and seeds of either sign past 64 bits; every block but
-    # the last holds `block` reps (all of them when None)
+    # top bit set, and seeds of either sign past 64 bits; every block
+    # counted but the last holds `block` reps (all of them when None),
+    # and a stack of more than one block keeps within the budget
+    sizes, counter = [], generators._counter
+
+    def recording(spec, shape):
+        count = counter(spec, shape)
+
+        def recorded(u):
+            sizes.append(len(u))
+            return count(u)
+
+        return recorded
+
+    monkeypatch.setattr(generators, "_counter", recording)
     for seed, start in [(0, 0), (2**63 + 100, 2**63 - 3), (-(2**40) - 3, 7), (2**64 + 2**63 + 11, 100)]:
         reps = range(start, start + length)
-        blocks = list(_sample_multiplicities(spec, seed, reps))
-        sizes = [len(rows) for rows, _ in blocks]
+        sizes.clear()
+        stacks = list(_sample_multiplicities(spec, seed, reps))
         whole, rest = divmod(length, block or length)
         assert sizes == [block or length] * whole + [rest] * (rest > 0)
-        rows = [row for mult, _ in blocks for row in mult]
-        follow = np.concatenate([draws for _, draws in blocks])
+        for mult, _ in stacks:
+            assert len(mult) * mult.shape[1] <= _BUDGET or len(mult) <= (block or length)
+        rows = [row for mult, _ in stacks for row in mult]
+        follow = np.concatenate([draws for _, draws in stacks])
         assert len(rows) == follow.size == len(reps)
         for rep, row, draw in zip(reps, rows, follow):
             ref = _philox((seed ^ rep) % 2**64)
@@ -428,7 +452,7 @@ def test_rekeyed_generator_draws_what_a_fresh_one_does_at_each_length(length):
 @pytest.mark.parametrize("kind", ["uniform", "linear"])
 def test_edge_uniforms_go_up_a_label_in_items_and_counts(kind):
     # label j+1 owns [edges[j-1], edges[j]): a uniform on an edge goes up,
-    # in the labels sample_items draws and in the counts _label_counts takes
+    # in the labels sample_items draws and in the counts _counter takes
     e0, e1, e2, _ = _edges(GeneratorSpec(kind, n=0, d=4))
     u = [np.nextafter(1.0, 0.0), e0, 0.0, e2, e1, np.nextafter(e1, 0.0), e0]
     drawn = np.array([1, 3, 1, 2])  # labels 4, 2, 1, 4, 3, 2, 2
@@ -442,7 +466,7 @@ def test_edge_uniforms_go_up_a_label_in_items_and_counts(kind):
         ("no_unique", 15, drawn + 2),
     ]:
         spec = GeneratorSpec(kind, n=n, d=4, corruption=corruption)
-        assert _label_counts(spec, _labeller(spec, len(u))(np.array(u))).tolist() == list(want)
+        assert _count_row(spec, u).tolist() == list(want)
         assert np.bincount(sample_items(spec, rng=edge_draw), minlength=len(want) + 1)[1:].tolist() == list(want)
 
 
@@ -480,12 +504,12 @@ def test_labeller_matches_searchsorted_on_draws_and_every_edge(kind, d, key):
         items = corrupted(want + 1, d)
         spec = GeneratorSpec(kind, n=items.size, d=d, corruption=corruption)
         assert np.array_equal(sample_items(spec, rng=draw), items)
-        assert np.array_equal(_sample_counts(spec, draw), np.bincount(items)[1:])
+        assert np.array_equal(_count_row(spec, u), np.bincount(items)[1:])
 
 
 def test_sample_first_order_of_even_m_spans_fresh_labels():
     spec = GeneratorSpec("uniform", n=40, d=10, corruption="even_m", seed=4)
-    counts = _sample_counts(spec, _philox(spec.seed))
+    counts = _count_row(spec, _philox(spec.seed).random(20))
     labels = sample_items(spec)
     observed = {x + 1: c for x, c in enumerate(counts.tolist()) if c}
     assert observed == {int(x): int(c) for x, c in zip(*np.unique(labels, return_counts=True))}

@@ -227,6 +227,9 @@ def test_bernstein_vanishing_gap_gives_trivial_p():
         pytest.param(p_value_gaussian, (1.0, math.nan, 1.0), "tau_ub must be finite, got nan", id="gaussian-nan-tau"),
         pytest.param(p_value_gaussian, (1.0, 0.0, math.nan), "v_ub must be positive, got nan", id="gaussian-nan-variance"),
         pytest.param(p_value_gaussian, (1.0, -math.inf, 1.0), "tau_ub must be finite, got -inf", id="gaussian-infinite-tau"),
+        # z would be inf / inf
+        pytest.param(p_value_gaussian, (math.inf, 0.0, math.inf), "v_ub must be finite, got inf",
+                     id="gaussian-infinite-variance"),
         # refused before z is known, here z < 0
         pytest.param(p_value_gaussian, (1.0, 5.0, 2.0, None, True), "cn_correction needs the sample size n", id="cn-without-n"),
         pytest.param(p_value_bernstein, (math.nan, 0.0, 1.0, 1.0), "bernstein tail needs a finite statistic, got nan",
@@ -236,6 +239,8 @@ def test_bernstein_vanishing_gap_gives_trivial_p():
                      id="bernstein-nan-variance"),
         pytest.param(p_value_bernstein, (1.0, -math.inf, 1.0, 1.0), "tau_ub must be finite, got -inf",
                      id="bernstein-infinite-tau"),
+        pytest.param(p_value_bernstein, (1.0, 0.0, math.inf, 1.0), "v_ub_det must be finite, got inf",
+                     id="bernstein-infinite-variance"),
         pytest.param(p_value_bernstein, (math.inf, 0.0, 1.0, 1.0), "bernstein tail needs a finite statistic, got inf",
                      id="bernstein-infinite-statistic"),
         pytest.param(p_value_bernstein, (1.0, 0.0, 1.0, -5.0), "b must be finite and positive, got -5.0",
@@ -729,17 +734,16 @@ def test_p_value_gaussian_matches_the_reference_bit_for_bit(stat, tau, var, n, c
     assert _bits(p_value_gaussian(stat, tau, var, n, cn)) == _bits(want)
 
 
-# The Bernstein tail is NaN once the excess, or b times it, passes the
-# largest float; these bounds keep both finite.
-_EXCESS_ENDS = st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300)
-
-
 @settings(max_examples=300, deadline=None)
-@given(_EXCESS_ENDS, _EXCESS_ENDS, _VARIANCES, st.floats(0.0, 1e6, exclude_min=True))
+@given(_LOCATIONS, _LOCATIONS, _VARIANCES, st.floats(0.0, 1e6, exclude_min=True))
 # z underflows to 0, so p = 1 with log_p = 0.0 where the formula alone gives -0.0
 @example(0.0, 1e-300, 1e300, 1.0)
 @example(0.0, 5e-324, 5e-324, 2.0)
 @example(-1e300, 1e300, 1.0, 1e6)
+# the excess, its square or b times it past the largest float
+@example(-1e308, 1e308, 1.0, 1.0)
+@example(0.0, 1e308, 1e308, 10.0)
+@example(0.0, 1e200, 1.0, 1.0)
 def test_p_value_bernstein_matches_the_reference_bit_for_bit(x, y, var, b):
     assume(x != y)
     tau, stat = sorted((x, y))
