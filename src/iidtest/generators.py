@@ -15,7 +15,6 @@ path to a spec's items or profile leaves its generator in one state.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Iterable, Iterator
 
@@ -35,8 +34,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# cells per block of iid reps (uniforms drawn, categories counted or
-# multiplicity columns, whichever a rep has most of) and per stack of rows
+# cells per block of reps (a rep's widest count, multiplicity row or
+# card pool, see _sample_multiplicities) and per stack of rows
 _BUDGET = 2**17
 
 
@@ -209,30 +208,24 @@ def _deal(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
     return pool[: n * hands].reshape(n, hands)
 
 
-def _deal_counts(spec: GeneratorSpec, offsets: np.ndarray) -> np.ndarray:
-    """Face counts of the hands _deal deals from the rows of offsets,
-    one row per hand and faces 1..52 in columns 0..51."""
-    hands = len(offsets)
-    # each dealt face takes its hand's bin, face + 52 * hand
-    dealt = _deal(spec, offsets) + 52 * np.arange(hands)
-    return np.bincount(dealt.ravel(), minlength=52 * hands).reshape(hands, 52)
-
-
 def _row_counts(values: np.ndarray, width: int) -> np.ndarray:
     # counts of 0..width-1 in each row of values, by one bincount: row r
-    # is offset by r * width in place, and a lone row is not
+    # is offset by r * width, in place but for int8 faces, which the add
+    # widens, and a lone row is not; values are read in memory order
     rows = len(values)
     if rows > 1:
-        values += width * np.arange(rows)[:, None]
-    return np.bincount(values.ravel(), minlength=width * rows).reshape(rows, width)
+        offsets = width * np.arange(rows)[:, None]
+        values = np.add(values, offsets, out=values if values.dtype == offsets.dtype else None)
+    return np.bincount(values.ravel("K"), minlength=width * rows).reshape(rows, width)
 
 
 def _counter(spec: GeneratorSpec, shape: tuple[int, int]) -> Callable[[np.ndarray], np.ndarray]:
     """The count map of a spec for blocks of uniforms of ``shape``, or of
     fewer rows: row r of ``count(u)`` counts faces 1..52, or labels 1..d
-    (1..2d for even_m), in the items sample_items makes of row r of u."""
+    (1..2d for even_m), in the items sample_items makes of row r of u,
+    by one _row_counts of the faces _deal deals or of the labels."""
     if spec.kind == "cards":
-        return functools.partial(_deal_counts, spec)
+        return lambda u: _row_counts(_deal(spec, u).T, 52)
     label = _labeller(spec, shape)
 
     def count(u: np.ndarray) -> np.ndarray:
@@ -270,19 +263,19 @@ def _sample_multiplicities(spec: GeneratorSpec, seed: int, reps: range):
     repetitions ``reps``, rep r drawn from a fresh Philox keyed by
     (seed XOR r) mod 2**64, with the uniform each draws right after its
     profile (the harness's control), in stacks of consecutive reps.
-    Reps are counted in blocks: one for all the card deals, and for the
-    iid kinds as many reps as keep the draws, the counts (2d for even_m)
-    and the multiplicity rows, at most n + 1 wide, within _BUDGET cells.
-    Blocks are stacked, zero-padded, while rows x width stays within
-    _BUDGET; a wider block is a stack of its own. One generator is
-    re-keyed for every rep, and the buffers are made once."""
+    Reps are counted in blocks of as many as keep a rep's widest array
+    times the block within _BUDGET cells: its draws and multiplicity
+    row (n + 1), its counts (52, d, or 2d for even_m), or its int8 pool
+    of 52 * decks cards at 8 a cell. Blocks are stacked, zero-padded,
+    while rows x width stays within _BUDGET; a wider block is a stack of
+    its own. One generator is re-keyed for every rep, and the buffers
+    are made once."""
     rngs = _rekeyed(seed ^ rep for rep in reps)
-    draw = _draw_count(spec)
     if spec.kind == "cards":
-        block = max(len(reps), 1)
+        cells = max(52, spec.n + 1, 52 * spec.decks // 8)
     else:
-        cells = max(draw, spec.d * (2 if spec.corruption == "even_m" else 1), spec.n + 1)
-        block = max(min(len(reps), _BUDGET // cells), 1)
+        cells = max(spec.d * (2 if spec.corruption == "even_m" else 1), spec.n + 1)
+    block, draw = max(1, min(len(reps), _BUDGET // cells)), _draw_count(spec)
     count = _counter(spec, (block, draw))
     # a rep's draws and then its control, in one call into its row: the
     # same doubles as random(draw) followed by random()

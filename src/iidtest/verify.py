@@ -304,14 +304,15 @@ def _check_sampler_determinism() -> tuple[bool, str]:
     # path must leave it where drawing the spec's uniforms leaves one
     cases = 0
     sizes = ((0, 1), (0, 250), (600, 1), (600, 250), (100_000, 33_333))
-    specs = [GeneratorSpec(kind="cards", n=n, decks=decks) for n, decks in ((0, 1), (65, 2), (104, 2))]
+    specs = [GeneratorSpec(kind="cards", n=n, decks=decks) for n, decks in ((0, 1), (65, 2), (104, 2), (65, 1000))]
     for kind, corruption, (n, d) in itertools.product(("uniform", "linear"), _CORRUPTIONS, sizes):
         # n = 0 takes the fill floor, n = d for no_empty and 2d for no_unique
         specs.append(GeneratorSpec(kind=kind, n=max(n, _FILL[corruption] * d), d=d, corruption=corruption))
     for spec in specs:
         # the harness's sampler draws reps in blocks, each rep r keyed by
         # key XOR r: 230 reps cross a block of 2**17 // 601 = 218 at
-        # n = 600, and at n = 1e5 every rep is a block of its own
+        # n = 600 and eleven blocks of 2**17 // (52 000 // 8) = 20 hands
+        # from 1000 decks, and at n = 1e5 every rep is a block of its own
         reps, draw = range(3, 5 if spec.n > 10**4 else 233), _draw_count(spec)
         for key in (907, 2**64 - 1):
             rngs = [np.random.Generator(np.random.Philox(key=key)) for _ in range(4)]

@@ -19,7 +19,6 @@ from iidtest.generators import (
     GeneratorSpec,
     _counter,
     _deal,
-    _deal_counts,
     _edges,
     _labeller,
     _listed,
@@ -263,7 +262,7 @@ def _assert_deals_like_draw_cards(spec, offsets):
     # each row dealt by the chunk dealer, against the one-deal shuffle
     # drawing exactly that row: card for card, and counted
     faces = _deal(spec, offsets)
-    counts = _deal_counts(spec, offsets)
+    counts = _counter(spec, offsets.shape)(offsets)
     assert faces.shape == (spec.n, len(offsets))
     assert counts.shape == (len(offsets), 52)
     for row, hand, got in zip(offsets, faces.T, counts.tolist()):
@@ -288,19 +287,32 @@ def test_deal_counts_match_draw_cards_rep_by_rep(decks):
         _assert_deals_like_draw_cards(spec, offsets)
 
 
-def test_chunk_deal_holds_one_byte_per_card():
-    # a chunk of 1024 hands of 52 cards from 200 decks: an int64 pool
-    # tiled per hand would take 1024 * 10400 * 8 B = 85 MB by itself
-    spec = GeneratorSpec("cards", n=52, decks=200)
+def _assert_chunk_deal_within_budget(n, decks):
+    # 1024 hands dealt in blocks of 2**17 // (52 * decks // 8) hands: a
+    # block's draws, its swap targets (or its widened faces) and its int8
+    # pool each fit in _BUDGET 8-byte cells
+    spec = GeneratorSpec("cards", n=n, decks=decks)
     tracemalloc.start()
     try:
         [(rows, controls)] = _sample_multiplicities(spec, 0, range(1024))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 25e6
+    assert peak < 3 * 8 * _BUDGET
     assert rows.shape[0] == controls.size == 1024
-    assert (rows * np.arange(rows.shape[1])).sum(axis=1).tolist() == [52] * 1024
+    assert (rows * np.arange(rows.shape[1])).sum(axis=1).tolist() == [n] * 1024
+
+
+def test_chunk_deal_holds_one_byte_per_card():
+    # 100 hands a block from 200 decks: an int8 pool of the whole chunk
+    # takes 10.6 MB, and an int64 pool tiled per hand 85 MB
+    _assert_chunk_deal_within_budget(52, 200)
+
+
+def test_chunk_deal_from_many_decks_keeps_within_budget():
+    # 2 hands a block from 10**4 decks: an int8 pool of the whole chunk
+    # takes 532 MB, and an int64 pool tiled per hand 4.3 GB
+    _assert_chunk_deal_within_budget(65, 10**4)
 
 
 def test_sample_items_deals_with_one_byte_per_card():
@@ -355,6 +367,8 @@ _BLOCK_SPECS = [
         (GeneratorSpec("uniform", n=500, d=1), None, 44),
         (GeneratorSpec("linear", n=90, d=30, corruption="no_empty"), None, 44),
         *_BLOCK_SPECS,
+        # 2**17 // (520 000 // 8) = 2 hands a block
+        (GeneratorSpec("cards", n=65, decks=10**4), 2, 44),
     ],
 )
 def test_sample_multiplicities_match_sample(spec, block, length, monkeypatch):
