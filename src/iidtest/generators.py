@@ -121,16 +121,17 @@ def _labeller(spec: GeneratorSpec, shape: int | tuple[int, ...]) -> Callable[[np
     ``shape``, or of fewer rows: ``label(u)`` is
     ``np.searchsorted(_edges(spec), u, "right")``, the 0-based labels,
     exactly. A label is guessed by the closed-form inverse CDF of theta,
-    truncated, and the guess L stands if ``lower[L] <= u < upper[L]``
-    (``lower = [0, edges]``, ``upper = [edges, inf]``), which with edges
-    that never decrease makes it the search's answer. Label d, which
-    rounding can guess for a uniform just below 1, has ``lower[d] = 1``
-    and so fails the check. Only the misses, uniforms next to an edge,
-    are searched. The temporaries are buffers made here once, for a
-    chunk's repetitions to share; each call overwrites the last labels.
+    truncated, and the guess L stands if ``lower[L] <= u < upper[L]``,
+    where ``lower`` and ``upper`` are views of the one table
+    ``bounds = [0, edges, inf]`` one slot apart, which with edges that
+    never decrease makes it the search's answer. Label d, which rounding
+    can guess for a uniform just below 1, has ``lower[d] = 1`` and so
+    fails the check. Only the misses, uniforms next to an edge, are
+    searched. The temporaries are buffers made here once, for a chunk's
+    repetitions to share; each call overwrites the last labels.
     """
-    d, upper = spec.d, np.append(_edges(spec), np.inf)
-    lower = np.concatenate(([0.0], upper[:-1]))
+    d, bounds = spec.d, np.concatenate(([0.0], _edges(spec), [np.inf]))
+    lower, upper = bounds[:-1], bounds[1:]
     buffers = [np.empty(shape, dtype=dtype) for dtype in (float, np.intp, bool, bool)]
 
     def label(u: np.ndarray) -> np.ndarray:

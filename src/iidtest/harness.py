@@ -22,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ from .invariants import (
     TestKind,
     TestOptions,
     _check_options,
+    _per_distinct,
     _suite_reads,
     _suite_results,
     parse_kind,
@@ -243,14 +245,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     return ExperimentReport(cfg, pvalues, curves, headline, sample_m, avg_m, expected)
 
 
-def _cells(key: str, ps: Sequence[float]) -> list[str]:
-    # f",{key},{p!r}\n" for each p, formatted once per distinct bit
-    # pattern: 0.0 and -0.0 compare equal but print apart
-    bits, inverse = np.unique(np.asarray(ps, dtype=float).view(np.int64), return_inverse=True)
-    texts = np.array([f",{key},{p!r}\n" for p in bits.view(float).tolist()], dtype=object)
-    return texts[inverse].tolist()
-
-
 def emit_report(report: ExperimentReport) -> dict[str, bytes]:
     """Serialize a report to three named CSV tables.
 
@@ -264,16 +258,16 @@ def emit_report(report: ExperimentReport) -> dict[str, bytes]:
     # the "test,k" cells of each label, the control's last
     keys = [f"{kind.family},{'' if kind.k is None else kind.k}" for kind, _ in report.config.tests]
     keyed = list(zip(keys + ["u,"], report.config.labels))
-    # one flat list of text: slot 2i holds the rep of row i, slot 2i+1
-    # its ",test,k,p" cell; rows run label by label within a rep
-    reps = len(report.pvalues[keyed[0][1]])
-    stride = 2 * len(keyed)
-    parts = ["rep,test,k,p\n"] + [""] * (stride * reps)
-    rep_texts = list(map(str, range(reps)))
-    for i, (key, label) in enumerate(keyed):
-        parts[1 + 2 * i :: stride] = rep_texts
-        parts[2 + 2 * i :: stride] = _cells(key, report.pvalues[label])
-    pvalues_csv = "".join(parts)
+    # the ",test,k,p" cells of each label, p printed by repr once per
+    # distinct bit pattern: 0.0 and -0.0 print apart
+    columns = [
+        _per_distinct(lambda p, key=key: f",{key},{p!r}\n", report.pvalues[label], dtype=object).tolist()
+        for key, label in keyed
+    ]
+    # a rep's rows run label by label: its text, then each label's cell
+    reps = list(map(str, range(len(columns[0]))))
+    rows = zip(*[text for cells in columns for text in (reps, cells)])
+    pvalues_csv = "rep,test,k,p\n" + "".join(chain.from_iterable(rows))
     curves_csv = "test,k,alpha,fraction,stderr\n" + "".join(
         f"{key},{alpha!r},{frac!r},{stderr!r}\n"
         for key, label in keyed

@@ -289,21 +289,19 @@ def _tail(stat, tau, var, ranges, charged, n):
     np.copyto(z, np.where(stat <= tau, 0.0, math.inf), where=var == 0.0)
     # z > 0 exactly when the statistic is above its bound by an excess
     # that survives the division
-    tail = gaussian = z > 0.0
-    if any(ranges):
-        ranges = np.broadcast_to(np.array(ranges, dtype=float)[:, None], stat.shape)
-        gaussian, bounded = tail & (ranges == 0.0), tail & (ranges > 0.0)
-        gap, v, b = stat[bounded] - tau[bounded], var[bounded], ranges[bounded]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            exact = -gap * gap / 2.0 / (v + b * gap / 3.0)
-            # past the largest float gap * gap is inf, and inf / inf NaN;
-            # the equal form with gap divided out is finite or -inf
-            log_p[bounded] = np.where(np.isfinite(exact), exact, -gap / 2.0 / (v / gap + b / 3.0))
+    tail = z > 0.0
+    ranges = np.broadcast_to(np.array(ranges, dtype=float)[:, None], stat.shape)
+    gaussian, bounded = tail & (ranges == 0.0), tail & (ranges > 0.0)
+    gap, v, b = stat[bounded] - tau[bounded], var[bounded], ranges[bounded]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        exact = -gap * gap / 2.0 / (v + b * gap / 3.0)
+        # past the largest float gap * gap is inf, and inf / inf NaN;
+        # the equal form with gap divided out is finite or -inf
+        log_p[bounded] = np.where(np.isfinite(exact), exact, -gap / 2.0 / (v / gap + b / 3.0))
     log_p[gaussian] = log_ndtr(-z[gaussian])
-    if any(charged):
-        charge = gaussian & np.array(charged)[:, None]
-        if charge.any():  # ln c_n is only needed, and only taken, for a tail
-            log_p[charge] = np.minimum(log_p[charge] + log_cn(n), 0.0)
+    charge = gaussian & np.array(charged)[:, None]
+    if charge.any():  # ln c_n is only needed, and only taken, for a tail
+        log_p[charge] = np.minimum(log_p[charge] + log_cn(n), 0.0)
     p[tail] = _per_distinct(_clamp_p, log_p[tail])
     return z, log_p, p
 
@@ -397,18 +395,18 @@ def _note(kind: TestKind, opts: TestOptions, status: int) -> str:
     return _NOTES[status].format(k - 1, k, k + 1) + ", ".join(bits)
 
 
-def _per_distinct(func: Callable[[float], float], values: np.ndarray) -> np.ndarray:
-    # func of each entry, called once per distinct entry: for math's
-    # functions, whose last bit numpy's differ from on some inputs.
-    # Entries that compare equal (0.0 and -0.0) must map alike. Up to 64
-    # entries are mapped one by one, which costs less than np.unique.
-    flat = values.ravel()
-    if flat.size <= 64:
-        mapped = [func(v) for v in flat.tolist()]
+def _per_distinct(func: Callable[[float], object], values: np.ndarray, dtype=float) -> np.ndarray:
+    # func of each entry, taken as a float, called once per distinct bit
+    # pattern: for math's functions, whose last bit numpy's differ from
+    # on some inputs, and for repr, which prints 0.0 and -0.0 apart. Up
+    # to 64 entries are mapped one by one, which costs less than np.unique.
+    values = np.asarray(values, dtype=float)
+    if values.size <= 64:
+        mapped = np.array([func(v) for v in values.ravel().tolist()], dtype=dtype)
     else:
-        distinct, inverse = np.unique(flat, return_inverse=True)
-        mapped = np.array([func(v) for v in distinct.tolist()], dtype=float)[inverse]
-    return np.array(mapped, dtype=float).reshape(values.shape)
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        mapped = np.array([func(v) for v in bits.view(float).tolist()], dtype=dtype)[inverse]
+    return mapped.reshape(values.shape)
 
 
 def _log_moments(n: int, reads: np.ndarray) -> tuple:

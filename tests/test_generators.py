@@ -272,7 +272,7 @@ def _assert_deals_like_draw_cards(spec, offsets):
 
 
 @pytest.mark.parametrize("decks", [1, 2, 3, 200])
-def test_deal_counts_match_draw_cards_rep_by_rep(decks):
+def test_chunk_deal_matches_draw_cards_rep_by_rep(decks):
     total = 52 * decks
     for n in (0, 1, 13, 26 * decks + 1, total - 1, total):
         spec = GeneratorSpec("cards", n=n, decks=decks)
@@ -519,6 +519,20 @@ def test_labeller_matches_searchsorted_on_draws_and_every_edge(kind, d, key):
         spec = GeneratorSpec(kind, n=items.size, d=d, corruption=corruption)
         assert np.array_equal(sample_items(spec, rng=draw), items)
         assert np.array_equal(_count_row(spec, u), np.bincount(items)[1:])
+
+
+def test_labeller_holds_one_bounds_table():
+    # lower and upper are views of one table of d + 2 bounds, where two
+    # tables of d + 1 would hold 16 (d + 1) bytes
+    d = 10**6
+    tracemalloc.start()
+    try:
+        label = _labeller(GeneratorSpec("uniform", n=0, d=d), (1, 1))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 12 * (d + 2)
+    assert label(np.array([[0.5]])).tolist() == [[d // 2]]
 
 
 def test_sample_first_order_of_even_m_spans_fresh_labels():

@@ -788,4 +788,7 @@ def test_per_distinct_matches_math_entry_by_entry():
         # 0.0 and -0.0 compare equal; math.log refuses both, and so does the helper
         with pytest.raises(ValueError):
             _per_distinct(math.log, np.array([1.0, -0.0, 0.0] * 3 * times))
+        # repr prints them apart, and pvalues.csv with them
+        entries = [0.0, -0.0, 0.5, 1.0, -0.0, 5e-324, 0.0, math.inf, 0.5] * times
+        assert _per_distinct(repr, np.array(entries), dtype=object).tolist() == list(map(repr, entries))
     assert _per_distinct(math.log, np.array([], dtype=np.int64)).size == 0
