@@ -136,16 +136,17 @@ def _labeller(spec: GeneratorSpec, shape: int | tuple[int, ...]) -> Callable[[np
 
     def label(u: np.ndarray) -> np.ndarray:
         guess, labels, hit, below = (buffer[: len(u)] for buffer in buffers)
+        # the guess's last product is stored straight into the labels,
+        # which truncates it as a cast does
         if spec.kind == "uniform":
-            np.multiply(u, d, out=guess)
+            np.multiply(u, d, out=labels, casting="unsafe")
         else:
             # x(x+1) / (d(d+1)) is the mass of labels 1..x
             np.multiply(u, 4.0 * d * (d + 1), out=guess)
             np.add(guess, 1.0, out=guess)
             np.sqrt(guess, out=guess)
             np.subtract(guess, 1.0, out=guess)
-            np.multiply(guess, 0.5, out=guess)
-        np.copyto(labels, guess, casting="unsafe")
+            np.multiply(guess, 0.5, out=labels, casting="unsafe")
         # "clip" takes a guess past d as d, which fails the check; it
         # spares the copy that np.take makes of out= under "raise"
         np.take(lower, labels, out=guess, mode="clip")
@@ -353,10 +354,13 @@ def expected_mk(theta: np.ndarray, n: int, k_max: int) -> np.ndarray:
     log_t = np.log(inner)
     log_1mt = np.log1p(-inner)
     if inner.size:
-        for k in range(1, min(k_max, n) + 1):
-            log_coef = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-            terms = log_coef + k * log_t + (n - k) * log_1mt
-            out[k] = math.exp(log_d + terms[0] if tied else logsumexp(terms))
+        k = np.arange(1, min(k_max, n) + 1)
+        log_coef = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        if tied:
+            logs = log_d + (log_coef + k * log_t[0] + (n - k) * log_1mt[0])
+        else:
+            logs = [logsumexp(c + j * log_t + (n - j) * log_1mt) for c, j in zip(log_coef, k)]
+        out[1 : k.size + 1] = [math.exp(log) for log in np.asarray(logs).tolist()]
     if 1 <= n <= k_max:
         # a category of mass 1 holds all n draws
         out[n] += np.count_nonzero(theta == 1.0)

@@ -5,7 +5,8 @@ Reproducibility discipline: repetition r draws exactly the stream of
 a fresh ``Philox(key=(seed XOR r) mod 2**64)``, so results are a pure
 function of the config and in particular independent of how
 repetitions are distributed over workers. They are cut once into
-chunks, which ``map`` or the pool's ``map`` runs; the parent fills one
+chunks; the parent runs every workers-th chunk from the first and a
+pool of the other workers runs the rest, and the parent fills one
 table, allocated first, in repetition order. Each chunk's sampler keys
 every repetition itself, re-keying one Philox rather than building one
 per repetition, and stacks their multiplicity rows. A uniform control
@@ -207,19 +208,24 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     The p-value table is allocated before any chunk runs, so a run too
     large to hold fails first. Chunks arrive in repetition order, so
     every floating-point reduction happens in a fixed order. At most one
-    worker per repetition and per CPU the process may use is started.
+    worker per repetition and per CPU the process may use runs, the
+    calling process counted as one: chunk j runs in it when
+    j % workers == 0, and in a pool of workers - 1 processes otherwise.
     """
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     workers = min(int(workers), cfg.reps, _usable_cpus())
     table = np.empty((len(cfg.labels), cfg.reps))
     step = min(_CHUNK, -(-cfg.reps // workers))
-    starts = range(0, cfg.reps, step)
-    stops = [min(lo + step, cfg.reps) for lo in starts]
+    spans = [(lo, min(lo + step, cfg.reps)) for lo in range(0, cfg.reps, step)]
     totals = np.zeros(1, dtype=np.int64)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        chunks = (pool.map if pool else map)(_run_chunk, [cfg] * len(starts), starts, stops)
-        for lo, hi, (ps, counts, head) in zip(starts, stops, chunks):
+    with ProcessPoolExecutor(max_workers=workers - 1) if workers > 1 else nullcontext() as pool:
+        # chunk j runs here when j % workers == 0 and in the pool otherwise;
+        # map submits every pooled chunk before this process runs chunk 0
+        handed = [span for j, span in enumerate(spans) if j % workers]
+        pooled = pool.map(_run_chunk, [cfg] * len(handed), *zip(*handed)) if pool else None
+        for j, (lo, hi) in enumerate(spans):
+            ps, counts, head = next(pooled) if j % workers else _run_chunk(cfg, lo, hi)
             table[:, lo:hi] = ps
             totals = _add_counts(totals, counts)
             if lo == 0:

@@ -603,6 +603,28 @@ def test_expected_mk_of_equal_weights_keeps_the_bits_of_the_sum(d):
         assert expected_mk(theta, n, k_max).tobytes() == _expected_mk_loop(theta, n, k_max).tobytes()
 
 
+def _tied_loop(d, n, k_max):
+    # equal weights term by term: one category's term plus log(d) per k
+    out = np.zeros(k_max + 1)
+    out[0] = np.nan
+    theta = np.full(1, 1.0 / d)
+    log_d, [log_t], [log_1mt] = np.log(float(d)), np.log(theta), np.log1p(-theta)
+    for k in range(1, min(k_max, n) + 1):
+        log_coef = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        out[k] = math.exp(log_d + (log_coef + k * log_t + (n - k) * log_1mt))
+    return out
+
+
+@pytest.mark.parametrize(
+    "d, n, k_max",
+    [(2, 10**4, 5200), (2, 1000, 1000), (52, 65, 3), (33_333, 10**5, 15), (100, 1000, 40), (7, 50, 60), (3, 1, 5)],
+)
+def test_expected_mk_of_equal_weights_matches_a_scalar_loop(d, n, k_max):
+    # the equal-weights sum runs over every k at once, with the loop's bits
+    got = expected_mk(make_theta("uniform", d), n, k_max)
+    assert got.tobytes() == _tied_loop(d, n, k_max).tobytes()
+
+
 def test_expected_mk_validation():
     with pytest.raises(ValueError):
         expected_mk(np.array([0.5, 0.4]), 3, 2)

@@ -139,18 +139,21 @@ def test_worker_count_does_not_change_output():
     assert serial == parallel
 
 
-def test_workers_running_many_chunks_each_match_one_worker():
-    # each of two workers runs more than two chunks, the last one short
+@pytest.mark.parametrize("workers", [2, 3])
+def test_workers_running_many_chunks_each_match_one_worker(workers):
+    # five chunks, the last one short: at two workers the calling process
+    # runs chunks 0, 2 and 4, at three chunks 0 and 3
     cfg = suite_config(GeneratorSpec("cards", n=5, decks=1), reps=4 * _CHUNK + 3, seed=3)
-    assert emit_report(run_experiment(cfg, workers=2)) == emit_report(run_experiment(cfg, workers=1))
+    assert emit_report(run_experiment(cfg, workers=workers)) == emit_report(run_experiment(cfg, workers=1))
 
 
 def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
     assert 1 <= harness._usable_cpus() <= os.cpu_count()
-    started = []
+    started, handed = [], []
 
     class RecordingPool:
         # runs the spans in this process; records the pool size asked for
+        # and the (lo, hi) spans handed to it
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -160,17 +163,22 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        def map(self, fn, cfgs, los, his):
+            handed.extend(zip(los, his))
+            return map(fn, cfgs, los, his)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
-    cfg = suite_config(GeneratorSpec("uniform", n=60, d=20, seed=5), reps=16, seed=31)
+    # five chunks at 3 workers: the calling process, one of the 3, runs
+    # chunks 0 and 3, and a pool of 2 processes chunks 1, 2 and 4
+    cfg = suite_config(GeneratorSpec("uniform", n=60, d=20, seed=5), reps=4 * _CHUNK + 3, seed=31)
     capped = emit_report(run_experiment(cfg, workers=5000))
-    assert started == [3]
+    pooled = [(_CHUNK, 2 * _CHUNK), (2 * _CHUNK, 3 * _CHUNK), (4 * _CHUNK, 4 * _CHUNK + 3)]
+    assert started == [2] and handed == pooled
     assert capped == emit_report(run_experiment(cfg, workers=1))
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     assert emit_report(run_experiment(cfg, workers=5000)) == capped
-    assert started == [3]
+    assert started == [2] and handed == pooled
 
 
 def test_workers_must_be_positive():
