@@ -34,6 +34,15 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as a Python int if it passes the integer rule and is at
+    least ``least``, when given; else a ValueError that names it."""
+    if _is_int(value) and (least is None or value >= least):
+        return int(value)
+    floor = "" if least is None else f" >= {least}"
+    raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CountProfile:
     """Immutable second-order summary of a sample.
@@ -55,18 +64,12 @@ class CountProfile:
     multiplicities: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n) or self.n < 0:
-            raise ValueError(f"n must be an integer >= 0, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _integer("n", self.n, 0))
         if not isinstance(self.multiplicities, Mapping):
             raise ValueError("multiplicities must map k to m_k")
-        for k, m in self.multiplicities.items():
-            if not _is_int(k) or k < 1:
-                raise ValueError(f"multiplicity key must be an integer >= 1, got {k!r}")
-            if not _is_int(m) or m < 1:
-                raise ValueError(f"m_{k} must be an integer >= 1, got {m!r}")
         # as Python ints first, so that no numpy product can wrap
-        ordered = dict(sorted((int(k), int(m)) for k, m in self.multiplicities.items()))
+        ordered = dict(sorted((_integer("multiplicity key", k, 1), _integer(f"m_{k}", m, 1))
+                              for k, m in self.multiplicities.items()))
         total = sum(k * m for k, m in ordered.items())
         if total != self.n:
             raise ValueError(f"sum k*m_k = {total} does not match n = {self.n}")

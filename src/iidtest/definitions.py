@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .counts import _is_int
+from .counts import _integer, _is_int
 
 
 class Mode(str, Enum):
@@ -256,10 +256,7 @@ class GeneratorSpec:
 
     def __post_init__(self) -> None:
         for name in ("n", "d", "decks", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.kind not in _KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.corruption not in _CORRUPTIONS:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .counts import CountProfile
+from .counts import CountProfile, _integer
 from .definitions import _FILL, GeneratorSpec
 
 __all__ = [
@@ -44,8 +44,7 @@ def make_theta(kind: str, d: int) -> np.ndarray:
 
     uniform: theta_x = 1/d. linear: theta_x = 2x/(d(d+1)) for x = 1..d.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _integer("d", d, 1)
     if kind == "uniform":
         return np.full(d, 1.0 / d)
     if kind == "linear":
@@ -340,8 +339,7 @@ def expected_mk(theta: np.ndarray, n: int, k_max: int) -> np.ndarray:
         raise ValueError("theta must be a non-empty vector")
     if np.any(theta < 0.0) or abs(float(theta.sum()) - 1.0) > 1e-12:
         raise ValueError("theta must be non-negative and sum to 1")
-    if n < 0 or k_max < 1:
-        raise ValueError(f"need n >= 0 and k_max >= 1, got n={n}, k_max={k_max}")
+    n, k_max = _integer("n", n, 0), _integer("k_max", k_max, 1)
     out = np.zeros(k_max + 1)
     out[0] = np.nan
     inner = theta[(theta > 0.0) & (theta < 1.0)]

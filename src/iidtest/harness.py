@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counts import _is_int
+from .counts import _integer
 from .definitions import _check_suite
 from .generators import GeneratorSpec, _sample_multiplicities, expected_mk, reference_theta
 from .invariants import (
@@ -93,10 +93,7 @@ class ExperimentConfig:
         if not isinstance(self.tests, (list, tuple)) or not all(map(_is_test_pair, self.tests)):
             raise ValueError(f"tests must be a list of (TestKind, TestOptions) pairs, got {self.tests!r}")
         for name in ("reps", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not isinstance(self.assert_validity, bool):
             raise ValueError(f"assert_validity must be true or false, got {self.assert_validity!r}")
         if not _is_number(self.alpha_star):
@@ -212,9 +209,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     calling process counted as one: chunk j runs in it when
     j % workers == 0, and in a pool of workers - 1 processes otherwise.
     """
-    if not _is_int(workers) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    workers = min(int(workers), cfg.reps, _usable_cpus())
+    workers = min(_integer("workers", workers, 1), cfg.reps, _usable_cpus())
     table = np.empty((len(cfg.labels), cfg.reps))
     step = min(_CHUNK, -(-cfg.reps // workers))
     spans = [(lo, min(lo + step, cfg.reps)) for lo in range(0, cfg.reps, step)]

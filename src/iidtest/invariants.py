@@ -54,7 +54,7 @@ from .definitions import (
     VarianceSource,
     parse_kind,
 )
-from .numerics import log_binomial_pmf, log_cn
+from .numerics import _size, log_binomial_pmf, log_cn
 
 __all__ = [
     "Mode",
@@ -169,10 +169,7 @@ def bound_mean(kind: TestKind, n: int, mode: Mode = Mode.POISSON) -> float:
     k < n and n <= 2**53. count at k=1 and slopelower at k=2 return the
     vacuous bound n in both modes.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > sys.float_info.max:
-        raise ValueError(f"n is past the largest float, {sys.float_info.max:.6g}")
+    n = _size("n", n)
     fam, k = kind.family, kind.k
     if fam in ("even", "odd"):
         return n / 2.0
@@ -306,6 +303,21 @@ def _tail(stat, tau, var, ranges, charged, n):
     return z, log_p, p
 
 
+def _one_tail(statistic, tau_ub, name, var, b, charged, n) -> tuple[float, float]:
+    """(log_p, p) by _tail of one statistic checked with its bound and its
+    variance ``name``: Gaussian if b = 0, else Bernstein, from above tau_ub."""
+    if not math.isfinite(tau_ub):
+        raise ValueError(f"tau_ub must be finite, got {tau_ub}")
+    if b and not statistic > tau_ub:
+        raise ValueError("bernstein tail needs statistic > tau_ub")
+    if not var > 0.0:
+        raise ValueError(f"{name} must be positive, got {var}")
+    if var == math.inf:
+        raise ValueError(f"{name} must be finite, got inf")
+    _, log_p, p = _tail(*np.array([statistic, tau_ub, var], dtype=float).reshape(3, 1, 1), [b], [charged], n)
+    return log_p.item(), p.item()
+
+
 def p_value_gaussian(
     statistic: float,
     tau_ub: float,
@@ -318,23 +330,18 @@ def p_value_gaussian(
     Returns ``(log_p, p)`` with log_p = ln Phi(-z) for
     z = (statistic - tau_ub)/sqrt(v_ub); any z <= 0 yields p = 1.
     With ``cn_correction`` the log-p is charged ln c_n (capped at 0),
-    which turns the Poisson-mode bound into a strictly valid p-value.
-    This is the one-element case of the tail every test runs through.
-    A statistic of +inf is valid; a NaN argument, an infinite tau_ub or
-    an infinite v_ub raises ValueError.
+    which turns the Poisson-mode bound into a strictly valid p-value;
+    n then takes log_cn's rule, checked before z is known. This is the
+    one-element case of the tail every test runs through. A statistic
+    of +inf is valid; a NaN argument, an infinite tau_ub or an infinite
+    v_ub raises ValueError.
     """
     if cn_correction and n is None:
         raise ValueError("cn_correction needs the sample size n")
+    n = _size("n", n) if cn_correction else n
     if math.isnan(statistic):
         raise ValueError("statistic is NaN")
-    if not math.isfinite(tau_ub):
-        raise ValueError(f"tau_ub must be finite, got {tau_ub}")
-    if not v_ub > 0.0:
-        raise ValueError(f"v_ub must be positive, got {v_ub}")
-    if v_ub == math.inf:
-        raise ValueError("v_ub must be finite, got inf")
-    _, log_p, p = _tail(*np.array([statistic, tau_ub, v_ub], dtype=float).reshape(3, 1, 1), [0], [cn_correction], n)
-    return log_p.item(), p.item()
+    return _one_tail(statistic, tau_ub, "v_ub", v_ub, 0, cn_correction, n)
 
 
 def p_value_bernstein(
@@ -355,18 +362,9 @@ def p_value_bernstein(
     """
     if not math.isfinite(statistic):
         raise ValueError(f"bernstein tail needs a finite statistic, got {statistic}")
-    if not math.isfinite(tau_ub):
-        raise ValueError(f"tau_ub must be finite, got {tau_ub}")
-    if not statistic > tau_ub:
-        raise ValueError("bernstein tail needs statistic > tau_ub")
-    if not v_ub_det > 0.0:
-        raise ValueError(f"v_ub_det must be positive, got {v_ub_det}")
-    if v_ub_det == math.inf:
-        raise ValueError("v_ub_det must be finite, got inf")
     if not 0.0 < b < math.inf:
         raise ValueError(f"b must be finite and positive, got {b}")
-    _, log_p, p = _tail(*np.array([statistic, tau_ub, v_ub_det], dtype=float).reshape(3, 1, 1), [b], [False], None)
-    return log_p.item(), p.item()
+    return _one_tail(statistic, tau_ub, "v_ub_det", v_ub_det, b, False, None)
 
 
 # status codes of _suite_results, a result being applicable below

@@ -14,6 +14,8 @@ import sys
 
 from scipy.special import gammaln, log_ndtr
 
+from .counts import _integer
+
 __all__ = [
     "log_binomial_pmf",
     "log_poisson_pmf",
@@ -22,6 +24,14 @@ __all__ = [
     "log_ratio_poisson_binomial",
     "stirling_factor",
 ]
+
+
+def _size(name: str, value, least: int = 1) -> int:
+    """`_integer`, then a ValueError for a ``value`` past the largest float."""
+    value = _integer(name, value, least)
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} is past the largest float, {sys.float_info.max:.6g}")
+    return value
 
 
 def log_binomial_pmf(k: int, n: int, theta: float) -> float:
@@ -43,8 +53,7 @@ def log_binomial_pmf(k: int, n: int, theta: float) -> float:
         log-gamma. Degenerate theta gives 0.0 at the certain outcome
         and -inf elsewhere (0^0 = 1 convention).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n, k = _size("n", n), _integer("k", k)
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
     if not 0.0 <= theta <= 1.0:
@@ -53,10 +62,10 @@ def log_binomial_pmf(k: int, n: int, theta: float) -> float:
         return 0.0 if k == 0 else -math.inf
     if theta == 1.0:
         return 0.0 if k == n else -math.inf
-    return float(
-        gammaln(n + 1)
-        - gammaln(k + 1)
-        - gammaln(n - k + 1)
+    return float(  # gammaln takes a Python int only up to int64, a float to the largest
+        gammaln(float(n + 1))
+        - gammaln(float(k + 1))
+        - gammaln(float(n - k + 1))
         + k * math.log(theta)
         + (n - k) * math.log1p(-theta)
     )
@@ -64,14 +73,13 @@ def log_binomial_pmf(k: int, n: int, theta: float) -> float:
 
 def log_poisson_pmf(k: int, lam: float) -> float:
     """Natural log of the Poisson(lam) mass at k, with Poisson(0) a
-    point mass at zero."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    point mass at zero. An integral k >= 0 and a lam in [0, inf) only."""
+    k = _size("k", k, 0)
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must lie in [0, inf), got {lam}")
     if lam == 0.0:
         return 0.0 if k == 0 else -math.inf
-    return float(k * math.log(lam) - lam - gammaln(k + 1))
+    return float(k * math.log(lam) - lam - gammaln(float(k + 1)))
 
 
 def _stirling_delta(k: int) -> float:
@@ -89,19 +97,16 @@ def _stirling_delta(k: int) -> float:
 def stirling_factor(k: int) -> float:
     """The factor (1 - eps_k) = k^k e^-k sqrt(2 pi k) / k!.
 
-    Lies in (0, 1) and increases to 1; the classical two-sided bracket
-    exp(-1/(12k)) <= 1 - eps_k <= exp(-1/(12k+1)) is asserted on every
-    call, to within rounding, so a violation (only possible through a
-    numerics regression) fails loudly. Small k evaluates the defining
-    formula through log-gamma; large k switches to the
-    remainder-bounded correction series, because the bracket narrows
-    like 1/(144 k^2) and the cancellation between the O(k ln k) log
-    terms would otherwise drown it in rounding noise.
+    Lies in (0, 1) and increases to 1 within the classical bracket
+    exp(-1/(12k)) <= 1 - eps_k <= exp(-1/(12k+1)), to within rounding;
+    the ``stirling`` suite of ``iidtest verify`` checks that, and the
+    asserts here are a debug guard that ``python -O`` strips. Small k
+    evaluates the defining formula through log-gamma; large k switches
+    to the remainder-bounded correction series, because the bracket
+    narrows like 1/(144 k^2) and the cancellation between the O(k ln k)
+    log terms would otherwise drown it in rounding noise.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > sys.float_info.max:
-        raise ValueError(f"k is past the largest float, {sys.float_info.max:.6g}")
+    k = _size("k", k)
     if k <= 20:
         value = math.exp(
             k * math.log(k) - k + 0.5 * math.log(2.0 * math.pi * k) - gammaln(k + 1)
@@ -135,10 +140,7 @@ def log_cn(n: int) -> float:
     as `stirling_factor` does, since the log-gamma form would lose the
     charge to cancellation.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > sys.float_info.max:
-        raise ValueError(f"n is past the largest float, {sys.float_info.max:.6g}")
+    n = _size("n", n)
     if n > _CN_SERIES_FROM:
         # 2 pi n overflows past the largest float / (2 pi): log n apart
         scaled = 2.0 * math.pi * n

@@ -88,11 +88,17 @@ def exact_d2_moments(theta1: float, n: int) -> tuple[np.ndarray, dict[str, float
 
 
 def _check_stirling() -> tuple[bool, str]:
+    # -ln of the value within [1/(12k+1), 1/(12k)], give or take two ulps
+    # of the value: its rounding, up to half an ulp, passes the 1/(360k^3)
+    # by which -ln sits inside 1/(12k) from k = 4e4; at 1e5 the bracket is 6000 ulps
     prev = 0.0
     for k in range(1, 100001):
-        value = stirling_factor(k)  # bracket asserted inside
+        value = stirling_factor(k)
         if not prev < value < 1.0:
             return False, f"not increasing toward 1 at k={k}"
+        slack = 2.0 * math.ulp(value)
+        if not 1.0 / (12 * k + 1) - slack <= -math.log(value) <= 1.0 / (12 * k) + slack:
+            return False, f"1 - eps_k = {value!r} outside [exp(-1/(12k)), exp(-1/(12k+1))] at k={k}"
         prev = value
     return True, "bracket and monotonicity hold for k=1..1e5"
 

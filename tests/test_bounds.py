@@ -18,6 +18,7 @@ from iidtest.invariants import (
     bound_mean,
     bound_variance,
 )
+from iidtest import verify
 from iidtest.verify import run_checks
 
 # per-unit-n Poisson-mode bounds, frozen from an independent
@@ -168,6 +169,37 @@ def test_verify_envelope_suites_read_the_family_table(monkeypatch):
     results = run_checks(suites)
     assert [r.ok for r in results] == [False, False]
     assert all(r.detail.startswith("slope:2 n=") for r in results)
+
+
+def _swap_first_hands(deal):
+    def swapped(spec, offsets):
+        hands = deal(spec, offsets)
+        return hands[:, [1, 0, *range(2, hands.shape[1])]]
+
+    return swapped
+
+
+# a suite, the name it reads in iidtest.verify, and a break of what that
+# name does which the suite must catch. The stirling stand-in increases
+# toward 1, but above exp(-1/(12k+1)) at every k, and holds no assert.
+_BREAKS = {
+    "stirling": ("stirling_factor", lambda f: lambda k: 1 - 1 / (24 * k)),
+    "pmf-normalization": ("log_binomial_pmf", lambda f: lambda *a: f(*a) + 1e-9),
+    "normal-tail": ("log_normal_sf", lambda f: lambda y: f(y) * (1 + 1e-9)),
+    "cn-factor": ("log_cn", lambda f: lambda n: f(n) + 1e-6),
+    "poisson-envelopes": ("bound_mean", lambda f: lambda *a: f(*a) * 0.99),
+    "even-odd-envelopes": ("log_poisson_pmf", lambda f: lambda *a: f(*a) + 1e-9),
+    "brute-force-d2": ("expected_mk", lambda f: lambda *a: f(*a) * (1 + 1e-9)),
+    "sampler-determinism": ("_deal", _swap_first_hands),
+}
+
+
+@pytest.mark.parametrize("suite", _BREAKS)
+def test_each_verify_suite_fails_on_a_break_of_what_it_checks(monkeypatch, suite):
+    name, broken = _BREAKS[suite]
+    monkeypatch.setattr(verify, name, broken(getattr(verify, name)))
+    [result] = run_checks([suite])
+    assert not result.ok, result.detail
 
 
 def test_modes_agree_to_five_percent_for_large_n():

@@ -1,6 +1,7 @@
 """Checks for the log-space probability kernels."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, ndtr
 
+from iidtest.generators import expected_mk, make_theta
+from iidtest.invariants import TestKind, bound_mean, p_value_gaussian, theoretical_variance
 from iidtest.numerics import (
     log_binomial_pmf,
     log_cn,
@@ -56,6 +59,41 @@ def test_binomial_rejects_out_of_range_arguments():
         log_binomial_pmf(0, 0, 0.5)
 
 
+# each size the library takes: its name, a call that passes it on, and
+# whether it must lie within the float range as well
+_SIZES = {
+    "bound_mean": ("n", lambda v: bound_mean(TestKind("count", 2), v), True),
+    "theoretical_variance": ("n", lambda v: theoretical_variance(TestKind("count", 2), v), True),
+    "log_cn": ("n", log_cn, True),
+    "stirling_factor": ("k", stirling_factor, True),
+    "log_binomial_pmf-n": ("n", lambda v: log_binomial_pmf(1, v, 0.5), True),
+    "log_binomial_pmf-k": ("k", lambda v: log_binomial_pmf(v, 10, 0.5), False),
+    "log_poisson_pmf": ("k", lambda v: log_poisson_pmf(v, 2.0), True),
+    "expected_mk-n": ("n", lambda v: expected_mk(np.full(4, 0.25), v, 3), False),
+    "expected_mk-k_max": ("k_max", lambda v: expected_mk(np.full(4, 0.25), 5, v), False),
+    "make_theta": ("d", lambda v: make_theta("uniform", v), False),
+    # the charge is refused before z is known, here z > 0
+    "p_value_gaussian": ("n", lambda v: p_value_gaussian(5.0, 0.0, 1.0, v, True), True),
+}
+
+
+@pytest.mark.parametrize("name, call, ranged", _SIZES.values(), ids=_SIZES)
+def test_sizes_refuse_what_is_not_an_integer_or_past_the_largest_float(name, call, ranged):
+    for bad in (True, 2.5, math.nan):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer( >= [01])?, got {re.escape(repr(bad))}$"):
+            call(bad)
+    if ranged:
+        with pytest.raises(ValueError, match=f"^{name} is past the largest float, 1.79769e\\+308$"):
+            call(10**400)
+    # numpy's integers pass, as Python's
+    assert np.array_equal(call(np.int64(3)), call(3), equal_nan=True)
+
+
+def test_sizes_within_the_float_range_but_past_int64_are_taken():
+    assert log_binomial_pmf(1, 2**70, 0.5) == pytest.approx(70 * math.log(2) - 2**70 * math.log(2), rel=1e-15)
+    assert log_poisson_pmf(2**70, 2.0) == pytest.approx(2**70 * (math.log(2.0) - 70 * math.log(2) + 1), rel=1e-3)
+
+
 def test_poisson_zero_rate_is_point_mass_at_zero():
     assert log_poisson_pmf(0, 0.0) == 0.0
     assert log_poisson_pmf(3, 0.0) == -math.inf
@@ -96,8 +134,9 @@ def test_poisson_mass_mean_and_variance():
 def test_poisson_rejects_negative_arguments():
     with pytest.raises(ValueError):
         log_poisson_pmf(-1, 1.0)
-    with pytest.raises(ValueError):
-        log_poisson_pmf(1, -0.5)
+    for lam in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^lam must lie in \\[0, inf\\), got {lam}$"):
+            log_poisson_pmf(1, lam)
 
 
 def test_stirling_factor_small_k_closed_forms():
